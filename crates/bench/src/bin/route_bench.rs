@@ -9,7 +9,6 @@
 //! cargo run --release -p bench --bin route_bench -- --no-batch   # A/B: wire batching off
 //! cargo run --release -p bench --bin route_bench -- --via-coordinator  # legacy routing
 //! cargo run --release -p bench --bin route_bench -- --threads 4  # sharded sim engine
-//! cargo run --release -p bench --bin route_bench -- --shards 4   # record kv_shards
 //! cargo run --release -p bench --bin route_bench -- --bench-json > BENCH_route.json
 //! cargo run --release -p bench --bin route_bench -- --quick --timeline t.jsonl
 //! ```
@@ -38,16 +37,6 @@
 //! *client-observed*. Numbers are not comparable to pre-client
 //! BENCH_route.json files; A/B `--no-batch` / `--via-coordinator` on
 //! the same build instead.
-//!
-//! `--shards N` sets `Settings::kv_shards`, the thread-per-core shard
-//! count of the *real* runtime's data plane, and stamps it into the
-//! JSON so a report is comparable only against runs at the same count.
-//! This bench hosts the sans-io actors on the deterministic simulator,
-//! where every node is single-threaded by construction — the knob does
-//! not change the numbers here, and on a single-core host it cannot
-//! improve the real runtime either (see docs/PERF.md). It exists so
-//! multi-core hosts can regenerate BENCH_route.json at their real
-//! shard count without the diff tool flagging a config mismatch.
 
 use std::time::Instant;
 
@@ -260,11 +249,10 @@ fn fault_json(r: &FaultResult) -> Json {
     ])
 }
 
-fn settings(batch_wire: bool, threads: usize, shards: usize, sample_ms: u64) -> Settings {
+fn settings(batch_wire: bool, threads: usize, sample_ms: u64) -> Settings {
     Settings {
         batch_wire,
         threads,
-        kv_shards: shards,
         obs_sample_ms: sample_ms,
         // Pipeline whole 500-op rounds: the bench measures the routing
         // fabric, not client-side queuing.
@@ -278,13 +266,12 @@ fn build(
     seed: u64,
     batch_wire: bool,
     threads: usize,
-    shards: usize,
     sample_ms: u64,
     via: bool,
 ) -> Simulation<KvSimActor> {
     KvClusterBuilder::new(n, spec())
         .seed(seed)
-        .settings(settings(batch_wire, threads, shards, sample_ms))
+        .settings(settings(batch_wire, threads, sample_ms))
         .op_timeout_ms(OP_WINDOW_MS - 500)
         .clients(1)
         .clients_via_seed(via)
@@ -296,12 +283,11 @@ fn run_scale(
     seed: u64,
     batch_wire: bool,
     threads: usize,
-    shards: usize,
     sample_ms: u64,
     via: bool,
 ) -> (Json, Vec<String>) {
     // Steady state + throughput.
-    let mut sim = build(n, seed, batch_wire, threads, shards, sample_ms, via);
+    let mut sim = build(n, seed, batch_wire, threads, sample_ms, via);
     sim.run_until(2_000);
     let acked = load_keys(&mut sim, KEYS);
 
@@ -379,7 +365,7 @@ fn run_scale(
     });
 
     // Fresh cluster for the partition fault (a clean baseline).
-    let mut sim = build(n, seed ^ 0x9E37, batch_wire, threads, shards, sample_ms, via);
+    let mut sim = build(n, seed ^ 0x9E37, batch_wire, threads, sample_ms, via);
     sim.run_until(2_000);
     load_keys(&mut sim, KEYS);
     let part_count = (n / 64).max(1);
@@ -447,16 +433,6 @@ fn main() {
                 .expect("--threads needs a positive integer")
         })
         .unwrap_or(1);
-    let shards = args
-        .iter()
-        .position(|a| a == "--shards")
-        .map(|pos| {
-            args.get(pos + 1)
-                .and_then(|s| s.parse().ok())
-                .filter(|&t: &usize| t >= 1 && t <= PARTITIONS as usize)
-                .expect("--shards needs a positive integer no larger than the partition count")
-        })
-        .unwrap_or(1);
     let timeline_path = args
         .iter()
         .position(|a| a == "--timeline")
@@ -472,7 +448,7 @@ fn main() {
     let mut timeline = Vec::new();
     for (i, &n) in scales.iter().enumerate() {
         let (row, lines) =
-            run_scale(n, 0xB0 + i as u64, batch_wire, threads, shards, sample_ms, via);
+            run_scale(n, 0xB0 + i as u64, batch_wire, threads, sample_ms, via);
         results.push(row);
         timeline.extend(lines);
     }
@@ -489,7 +465,6 @@ fn main() {
         ("batch_wire", Json::Bool(batch_wire)),
         ("via_coordinator", Json::Bool(via)),
         ("threads", Json::uint(threads as u64)),
-        ("shards", Json::uint(shards as u64)),
         ("partitions", Json::uint(PARTITIONS as u64)),
         ("replication", Json::uint(REPLICATION as u64)),
         ("keys", Json::uint(KEYS as u64)),

@@ -22,10 +22,10 @@
 //!
 //! Flow control is a bounded in-flight window: at most `window` ops on
 //! the wire per client, the rest queue client-side. Overload verdicts
-//! ([`CRESP_OVERLOADED`], the wire form of [`KvError::Overloaded`])
-//! re-queue the op after the node's suggested backoff instead of
-//! failing it — a burst degrades to queuing latency plus explicit
-//! retries, and the op only fails at its own deadline.
+//! ([`KvError::Overloaded`], `CRESP_OVERLOADED` on the wire) re-queue
+//! the op after the node's suggested backoff instead of failing it — a
+//! burst degrades to queuing latency plus explicit retries, and the op
+//! only fails at its own deadline.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -36,10 +36,7 @@ use rapid_core::id::{Endpoint, NodeId};
 use rapid_core::obs::LatencyHist;
 use rapid_core::outbox::Outbox;
 
-use crate::kv::{
-    ClientOp, KvError, KvMsg, KvOut, KvOutcome, CRESP_ACKED, CRESP_FOUND, CRESP_MISSING,
-    CRESP_OVERLOADED,
-};
+use crate::kv::{ClientOp, KvError, KvMsg, KvOut, KvOutcome};
 use crate::placement::{partition_of, Placement, PlacementCache, PlacementConfig};
 
 /// Client-observed counters. All plain sums; [`ClientStats::absorb`]
@@ -312,7 +309,7 @@ impl KvClient {
                 code,
                 val,
                 version,
-            } => self.on_verdict(req, code, val, version, now, out),
+            } => self.on_verdict(req, KvOutcome::from_cresp(code, val, version), now, out),
             _ => {} // Node-plane traffic; clients ignore.
         }
     }
@@ -344,9 +341,7 @@ impl KvClient {
     fn on_verdict(
         &mut self,
         req: u64,
-        code: u8,
-        val: String,
-        version: u64,
+        verdict: Result<KvOutcome, KvError>,
         now: u64,
         out: &mut Vec<KvOut>,
     ) {
@@ -356,14 +351,14 @@ impl KvClient {
         if op.phase == OpPhase::InFlight {
             self.inflight = self.inflight.saturating_sub(1);
         }
-        match code {
-            CRESP_ACKED => {
+        match verdict {
+            Ok(KvOutcome::Acked { version }) => {
                 let floor = self.floors.entry(op.key.clone()).or_insert(0);
                 *floor = (*floor).max(version);
                 self.stats.acked += 1;
                 self.complete(req, KvOutcome::Acked { version }, now, out);
             }
-            CRESP_FOUND => {
+            Ok(KvOutcome::Found { val, version }) => {
                 // Client-side read-your-writes: a value below this
                 // client's acked floor is stale (mid-repair) — retry.
                 let floor = self.floors.get(&op.key).copied().unwrap_or(0);
@@ -374,7 +369,7 @@ impl KvClient {
                     self.complete(req, KvOutcome::Found { val, version }, now, out);
                 }
             }
-            CRESP_MISSING => {
+            Ok(KvOutcome::Missing) => {
                 let floor = self.floors.get(&op.key).copied().unwrap_or(0);
                 if floor > 0 {
                     // This client acked a write for the key; Missing is
@@ -385,23 +380,19 @@ impl KvClient {
                     self.complete(req, KvOutcome::Missing, now, out);
                 }
             }
-            CRESP_OVERLOADED => {
-                // The typed overload error: KvError::Overloaded on the
-                // wire. Count it and wait out the node's hint, stretched
-                // by a deterministic per-(client, op) jitter of up to
-                // half the hint: a whole fleet shed at the same instant
-                // must not retry in one synchronized herd, but replaying
-                // the same client still backs off identically.
-                let KvError::Overloaded { retry_after_ms } =
-                    KvError::Overloaded { retry_after_ms: version.max(1) };
+            Err(KvError::Overloaded { retry_after_ms }) => {
+                // The typed overload error. Count it and wait out the
+                // node's hint, stretched by a deterministic per-(client,
+                // op) jitter of up to half the hint: a whole fleet shed
+                // at the same instant must not retry in one synchronized
+                // herd, but replaying the same client still backs off
+                // identically.
                 let jitter = backoff_jitter(self.me, req, retry_after_ms);
                 self.stats.shed += 1;
                 self.backoff(req, retry_after_ms + jitter, now);
             }
-            _ => {
-                // CRESP_FAILED or unknown: retryable until the deadline.
-                self.backoff(req, self.retry_delay(), now);
-            }
+            // Failed (or an unknown code): retryable until the deadline.
+            Ok(KvOutcome::Failed) => self.backoff(req, self.retry_delay(), now),
         }
     }
 
@@ -552,7 +543,7 @@ impl KvClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kv::CRESP_FAILED;
+    use crate::kv::{CRESP_ACKED, CRESP_FAILED, CRESP_FOUND, CRESP_MISSING, CRESP_OVERLOADED};
 
     fn cluster(n: usize) -> (Arc<Configuration>, Vec<Endpoint>) {
         let members: Vec<Member> = (0..n)

@@ -792,18 +792,58 @@ pub enum KvOutcome {
     Failed,
 }
 
-/// An action the host must perform for the KV node.
+impl KvOutcome {
+    /// This verdict as the [`KvMsg::CResp`] answering client request
+    /// `req`.
+    pub fn into_cresp(self, req: u64) -> KvMsg {
+        let (code, val, version) = match self {
+            KvOutcome::Acked { version } => (CRESP_ACKED, String::new(), version),
+            KvOutcome::Found { val, version } => (CRESP_FOUND, val, version),
+            KvOutcome::Missing => (CRESP_MISSING, String::new(), 0),
+            KvOutcome::Failed => (CRESP_FAILED, String::new(), 0),
+        };
+        KvMsg::CResp {
+            req,
+            code,
+            val,
+            version,
+        }
+    }
+
+    /// Reads a [`KvMsg::CResp`]'s `code`, `val` and `version` back.
+    /// [`CRESP_OVERLOADED`] is the typed overload error, its retry hint
+    /// (at least 1 ms) carried in `version`; an unknown code reads as
+    /// [`KvOutcome::Failed`], which clients retry.
+    pub fn from_cresp(code: u8, val: String, version: u64) -> Result<KvOutcome, KvError> {
+        Ok(match code {
+            CRESP_ACKED => KvOutcome::Acked { version },
+            CRESP_FOUND => KvOutcome::Found { val, version },
+            CRESP_MISSING => KvOutcome::Missing,
+            CRESP_OVERLOADED => {
+                return Err(KvError::Overloaded {
+                    retry_after_ms: version.max(1),
+                })
+            }
+            _ => KvOutcome::Failed,
+        })
+    }
+}
+
+/// An action the host must perform for a sans-io KV core.
 #[derive(Clone, Debug)]
 pub enum KvOut {
     /// Transmit a data-plane message.
     Send(Endpoint, KvMsg),
-    /// A client operation completed.
+    /// An op submitted through a [`KvClient`](crate::client::KvClient)
+    /// completed (nodes answer clients with [`KvMsg::CResp`] frames and
+    /// never emit this).
     Done(u64, KvOutcome),
 }
 
 /// One client operation, for batched submission through
-/// [`KvNode::client_ops`]: a whole burst shares one outbox flush, so ops
-/// routed to the same leader share a wire frame.
+/// [`KvClient::submit_ops`](crate::client::KvClient::submit_ops): a
+/// whole burst shares one outbox flush, so ops routed to the same leader
+/// share a wire frame.
 #[derive(Clone, Copy, Debug)]
 pub enum ClientOp<'a> {
     /// A write.
@@ -896,30 +936,16 @@ impl KvStats {
 // The state machine
 // ---------------------------------------------------------------------------
 
-/// Who to tell when a pending client op resolves: the local host (the
-/// legacy via-coordinator path, completed as [`KvOut::Done`]) or a
-/// remote smart client (completed as a [`KvMsg::CResp`] wire message).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum ClientOrigin {
-    /// Submitted by this process's host; `req` is the host-visible id.
-    Local,
-    /// Submitted over the wire by a smart client.
-    Remote {
-        /// The client's endpoint.
-        ep: Endpoint,
-        /// The client's own request id (node-local ids can collide
-        /// across clients).
-        req: u64,
-    },
-}
-
 /// A client op in flight at its coordinator, keyed by request id in
 /// [`KvNode::pending_client`] so completions are O(1) instead of a scan.
 struct PendingClient {
     deadline: u64,
     is_put: bool,
-    /// Where the verdict goes.
-    origin: ClientOrigin,
+    /// The smart client the verdict goes to, as a [`KvMsg::CResp`].
+    client: Endpoint,
+    /// The client's own request id (node-local ids can collide across
+    /// clients).
+    creq: u64,
     /// The key, kept for read retries and for recording acked floors.
     key: String,
     /// Read-your-writes floor captured when the get began: the highest
@@ -1011,8 +1037,7 @@ pub struct KvNode {
     /// Smart clients subscribed to view pushes, sorted for deterministic
     /// push order. Bounded by [`MAX_SUBS`].
     subs: Vec<Endpoint>,
-    /// Admission bound on `pending_client` entries with a remote origin;
-    /// 0 = unbounded (the pre-client-plane behaviour).
+    /// Admission bound on `pending_client` entries; 0 = unbounded.
     inbox_limit: usize,
     /// Soft-shed threshold: when the last sampled interval's op p99
     /// exceeded this *and* the inbox is more than half full, new client
@@ -1022,9 +1047,6 @@ pub struct KvNode {
     /// ([`KvNode::note_interval`]) — the PR 8 timeline signal the
     /// shedding decision keys off.
     last_interval_p99: u64,
-    /// Remote-origin entries currently in `pending_client` (tracked so
-    /// `inbox_depth` is O(1), not a scan).
-    remote_pending: usize,
     /// Data-plane shard slice this instance owns, as `(index, count)`.
     /// `(0, 1)` — the default — owns every partition: the single-threaded
     /// oracle path, bit-identical to the pre-sharding behaviour. A
@@ -1079,7 +1101,6 @@ impl KvNode {
             inbox_limit: 0,
             shed_p99_ms: 0,
             last_interval_p99: 0,
-            remote_pending: 0,
             shard: (0, 1),
         }
     }
@@ -1144,9 +1165,9 @@ impl KvNode {
         self.last_interval_p99 = p99_ms;
     }
 
-    /// Remote client ops currently pending at this coordinator.
+    /// Client ops currently pending at this coordinator.
     pub fn inbox_depth(&self) -> usize {
-        self.remote_pending
+        self.pending_client.len()
     }
 
     /// Smart clients currently subscribed to view pushes.
@@ -1201,16 +1222,6 @@ impl KvNode {
         self.view.as_ref().map(|(_, p)| p)
     }
 
-    /// Number of keys currently stored locally (all partitions).
-    pub fn local_keys(&self) -> usize {
-        self.store.values().map(|m| m.len()).sum()
-    }
-
-    /// Whether any partition is still awaiting a rebalance handoff.
-    pub fn rebalance_settled(&self) -> bool {
-        self.awaiting.is_empty()
-    }
-
     fn placement_for(&self, config: &Arc<Configuration>) -> Arc<Placement> {
         match &self.cache {
             Some(c) => c.get(config, &self.spec),
@@ -1224,11 +1235,11 @@ impl KvNode {
     /// per receiver: one wire frame however many partitions move).
     pub fn on_view(&mut self, config: Arc<Configuration>, now: u64, out: &mut Vec<KvOut>) {
         self.now = self.now.max(now);
-        self.handle_view(config, now, out);
+        self.handle_view(config, now);
         self.flush(out);
     }
 
-    fn handle_view(&mut self, config: Arc<Configuration>, now: u64, _out: &mut Vec<KvOut>) {
+    fn handle_view(&mut self, config: Arc<Configuration>, now: u64) {
         let placement = self.placement_for(&config);
         if self.view.is_none() && self.expect_initial_handoffs {
             // First view after joining an established cluster: everything
@@ -1398,13 +1409,10 @@ impl KvNode {
         stats.frames_sent = s.frames;
     }
 
-    fn resolve_client(&mut self, req: u64, outcome: KvOutcome, out: &mut Vec<KvOut>) {
+    fn resolve_client(&mut self, req: u64, outcome: KvOutcome) {
         let Some(pc) = self.pending_client.remove(&req) else {
             return; // Already timed out.
         };
-        if matches!(pc.origin, ClientOrigin::Remote { .. }) {
-            self.remote_pending = self.remote_pending.saturating_sub(1);
-        }
         // The op started `op_timeout_ms` before its deadline; `self.now`
         // was refreshed by whichever entry point led here.
         let latency = self
@@ -1426,89 +1434,29 @@ impl KvNode {
             (_, false) => self.stats.gets_ok += 1,
             _ => {}
         }
-        match pc.origin {
-            ClientOrigin::Local => out.push(KvOut::Done(req, outcome)),
-            ClientOrigin::Remote { ep, req: creq } => {
-                let (code, val, version) = match outcome {
-                    KvOutcome::Acked { version } => (CRESP_ACKED, String::new(), version),
-                    KvOutcome::Found { val, version } => (CRESP_FOUND, val, version),
-                    KvOutcome::Missing => (CRESP_MISSING, String::new(), 0),
-                    KvOutcome::Failed => (CRESP_FAILED, String::new(), 0),
-                };
-                self.send(
-                    ep,
-                    KvMsg::CResp {
-                        req: creq,
-                        code,
-                        val,
-                        version,
-                    },
-                );
-            }
-        }
+        self.send(pc.client, outcome.into_cresp(pc.creq));
     }
 
-    /// Begins a client write through this node as coordinator; the result
-    /// arrives later as [`KvOut::Done`] with the returned request id.
-    pub fn client_put(&mut self, key: &str, val: &str, now: u64, out: &mut Vec<KvOut>) -> u64 {
-        self.now = self.now.max(now);
-        let req = self.begin_put(key, val, now, out);
-        self.flush(out);
-        req
-    }
-
-    /// Begins a client read through this node as coordinator. The read
-    /// completes only at a version at or above every write this
-    /// coordinator has acked for the key (read-your-writes): stale or
-    /// retryable leader answers are retried until the op deadline.
-    pub fn client_get(&mut self, key: &str, now: u64, out: &mut Vec<KvOut>) -> u64 {
-        self.now = self.now.max(now);
-        let req = self.begin_get(key, now, out);
-        self.flush(out);
-        req
-    }
-
-    /// Begins a burst of client operations with a single outbox flush:
-    /// operations routed to the same leader leave in one wire frame (the
-    /// pipelined-client fast path). Returns one request id per op, in
-    /// order.
-    pub fn client_ops(&mut self, ops: &[ClientOp<'_>], now: u64, out: &mut Vec<KvOut>) -> Vec<u64> {
-        self.now = self.now.max(now);
-        let reqs = ops
-            .iter()
-            .map(|op| match *op {
-                ClientOp::Put { key, val } => self.begin_put(key, val, now, out),
-                ClientOp::Get { key } => self.begin_get(key, now, out),
-            })
-            .collect();
-        self.flush(out);
-        reqs
-    }
-
-    fn begin_put(&mut self, key: &str, val: &str, now: u64, out: &mut Vec<KvOut>) -> u64 {
-        self.begin_put_from(key, val, now, ClientOrigin::Local, out)
-    }
-
-    fn begin_put_from(
+    /// Coordinates a client write: straight to the local leader path, or
+    /// forwarded to the partition's leader.
+    fn begin_put(
         &mut self,
+        client: Endpoint,
+        creq: u64,
         key: &str,
         val: &str,
         now: u64,
-        origin: ClientOrigin,
-        out: &mut Vec<KvOut>,
-    ) -> u64 {
+    ) {
         let req = self.next_req;
         self.next_req += self.shard.1 as u64;
         self.trace.push(now, EventKind::KvOpStart, req, 1);
-        if matches!(origin, ClientOrigin::Remote { .. }) {
-            self.remote_pending += 1;
-        }
         self.pending_client.insert(
             req,
             PendingClient {
                 deadline: now + self.op_timeout_ms,
                 is_put: true,
-                origin,
+                client,
+                creq,
                 key: key.to_string(),
                 floor: 0,
                 retry: false,
@@ -1516,9 +1464,9 @@ impl KvNode {
         );
         let partition = partition_of(key, self.spec.partitions);
         match self.leader_addr(partition) {
-            None => self.resolve_client(req, KvOutcome::Failed, out),
+            None => self.resolve_client(req, KvOutcome::Failed),
             Some(leader) if leader == self.me.addr => {
-                self.leader_put(req, self.me.addr, key, val, now, out);
+                self.leader_put(req, self.me.addr, key, val, now);
             }
             Some(leader) => self.send(
                 leader,
@@ -1530,27 +1478,13 @@ impl KvNode {
                 },
             ),
         }
-        req
     }
 
-    fn begin_get(&mut self, key: &str, now: u64, out: &mut Vec<KvOut>) -> u64 {
-        self.begin_get_from(key, 0, now, ClientOrigin::Local, out)
-    }
-
-    fn begin_get_from(
-        &mut self,
-        key: &str,
-        floor_min: u64,
-        now: u64,
-        origin: ClientOrigin,
-        out: &mut Vec<KvOut>,
-    ) -> u64 {
+    /// Coordinates a client read through the key's current leader.
+    fn begin_get(&mut self, client: Endpoint, creq: u64, key: &str, floor_min: u64, now: u64) {
         let req = self.next_req;
         self.next_req += self.shard.1 as u64;
         self.trace.push(now, EventKind::KvOpStart, req, 0);
-        if matches!(origin, ClientOrigin::Remote { .. }) {
-            self.remote_pending += 1;
-        }
         // Read-your-writes across coordinators: honour both this node's
         // acked floor and the one the client carried in.
         let floor = self
@@ -1564,14 +1498,14 @@ impl KvNode {
             PendingClient {
                 deadline: now + self.op_timeout_ms,
                 is_put: false,
-                origin,
+                client,
+                creq,
                 key: key.to_string(),
                 floor,
                 retry: false,
             },
         );
-        self.forward_get(req, key, out);
-        req
+        self.forward_get(req, key);
     }
 
     /// Admission decision for one arriving client op: `Err` when it must
@@ -1579,13 +1513,13 @@ impl KvNode {
     /// site.
     fn admit_client_op(&self) -> Result<(), KvError> {
         let retry_after_ms = (self.op_timeout_ms / 4).max(1);
-        if self.inbox_limit > 0 && self.remote_pending >= self.inbox_limit {
+        if self.inbox_limit > 0 && self.pending_client.len() >= self.inbox_limit {
             return Err(KvError::Overloaded { retry_after_ms });
         }
         if self.shed_p99_ms > 0
             && self.last_interval_p99 > self.shed_p99_ms
             && self.inbox_limit > 0
-            && self.remote_pending > self.inbox_limit / 2
+            && self.pending_client.len() > self.inbox_limit / 2
         {
             return Err(KvError::Overloaded { retry_after_ms });
         }
@@ -1593,11 +1527,10 @@ impl KvNode {
     }
 
     /// Handles one client-plane op arriving over the wire: shed under
-    /// overload (typed, counted, never acked) or coordinate it exactly
-    /// like a local submission with a remote completion route. When this
+    /// overload (typed, counted, never acked) or coordinate it, answering
+    /// the client with a [`KvMsg::CResp`] when it resolves. When this
     /// node leads the key's partition — the smart client's common case —
     /// the op is zero-hop: no coordinator forward ever hits the wire.
-    #[allow(clippy::too_many_arguments)]
     fn on_client_op(
         &mut self,
         from: Endpoint,
@@ -1606,7 +1539,6 @@ impl KvNode {
         val: Option<&str>,
         floor: u64,
         now: u64,
-        out: &mut Vec<KvOut>,
     ) {
         if let Err(KvError::Overloaded { retry_after_ms }) = self.admit_client_op() {
             self.stats.ops_shed += 1;
@@ -1621,25 +1553,20 @@ impl KvNode {
             );
             return;
         }
-        let origin = ClientOrigin::Remote { ep: from, req: creq };
         match val {
-            Some(v) => {
-                self.begin_put_from(key, v, now, origin, out);
-            }
-            None => {
-                self.begin_get_from(key, floor, now, origin, out);
-            }
+            Some(v) => self.begin_put(from, creq, key, v, now),
+            None => self.begin_get(from, creq, key, floor, now),
         }
     }
 
     /// Routes (or re-routes) a pending read to the key's current leader.
-    fn forward_get(&mut self, req: u64, key: &str, out: &mut Vec<KvOut>) {
+    fn forward_get(&mut self, req: u64, key: &str) {
         let partition = partition_of(key, self.spec.partitions);
         match self.leader_addr(partition) {
-            None => self.resolve_client(req, KvOutcome::Failed, out),
+            None => self.resolve_client(req, KvOutcome::Failed),
             Some(leader) if leader == self.me.addr => {
                 let resp = self.leader_get_resp(req, key);
-                self.finish_get(resp, out);
+                self.finish_get(resp);
             }
             Some(leader) => self.send(
                 leader,
@@ -1652,9 +1579,9 @@ impl KvNode {
         }
     }
 
-    fn put_fail(&mut self, req: u64, origin: Endpoint, out: &mut Vec<KvOut>) {
+    fn put_fail(&mut self, req: u64, origin: Endpoint) {
         if origin == self.me.addr {
-            self.resolve_client(req, KvOutcome::Failed, out);
+            self.resolve_client(req, KvOutcome::Failed);
         } else {
             self.send(
                 origin,
@@ -1667,9 +1594,9 @@ impl KvNode {
         }
     }
 
-    fn put_ack(&mut self, req: u64, origin: Endpoint, version: u64, out: &mut Vec<KvOut>) {
+    fn put_ack(&mut self, req: u64, origin: Endpoint, version: u64) {
         if origin == self.me.addr {
-            self.resolve_client(req, KvOutcome::Acked { version }, out);
+            self.resolve_client(req, KvOutcome::Acked { version });
         } else {
             self.send(
                 origin,
@@ -1689,11 +1616,10 @@ impl KvNode {
         key: &str,
         val: &str,
         now: u64,
-        out: &mut Vec<KvOut>,
     ) {
         let partition = partition_of(key, self.spec.partitions);
         if !self.is_leader(partition) {
-            return self.put_fail(req, origin, out);
+            return self.put_fail(req, origin);
         }
         let config_seq = self.view.as_ref().map(|(c, _)| c.seq()).unwrap_or(0);
         // Versions are (config seq, per-partition counter); the counter
@@ -1711,7 +1637,7 @@ impl KvNode {
             .insert(key.to_string(), (val.to_string(), version));
         let others = self.replica_addrs_except_me(partition);
         if others.is_empty() {
-            return self.put_ack(req, origin, version, out);
+            return self.put_ack(req, origin, version);
         }
         // Leader-local id for the replication round: coordinator request
         // ids are only unique per origin, and two origins can race the
@@ -1772,7 +1698,7 @@ impl KvNode {
         }
     }
 
-    fn finish_get(&mut self, resp: KvMsg, out: &mut Vec<KvOut>) {
+    fn finish_get(&mut self, resp: KvMsg) {
         let KvMsg::GetResp {
             req,
             ok,
@@ -1801,7 +1727,7 @@ impl KvNode {
         } else {
             KvOutcome::Missing
         };
-        self.resolve_client(req, outcome, out);
+        self.resolve_client(req, outcome);
     }
 
     fn merge(&mut self, partition: u32, key: String, val: String, version: u64) {
@@ -1820,15 +1746,15 @@ impl KvNode {
     /// carried.
     pub fn on_message(&mut self, from: Endpoint, msg: KvMsg, now: u64, out: &mut Vec<KvOut>) {
         self.now = self.now.max(now);
-        self.handle_msg(from, msg, now, out);
+        self.handle_msg(from, msg, now);
         self.flush(out);
     }
 
-    fn handle_msg(&mut self, from: Endpoint, msg: KvMsg, now: u64, out: &mut Vec<KvOut>) {
+    fn handle_msg(&mut self, from: Endpoint, msg: KvMsg, now: u64) {
         match msg {
             KvMsg::Batch(msgs) => {
                 for m in msgs {
-                    self.handle_msg(from, m, now, out);
+                    self.handle_msg(from, m, now);
                 }
             }
             KvMsg::Put {
@@ -1836,20 +1762,20 @@ impl KvNode {
                 origin,
                 key,
                 val,
-            } => self.leader_put(req, origin, &key, &val, now, out),
+            } => self.leader_put(req, origin, &key, &val, now),
             KvMsg::PutAck { req, ok, version } => {
                 let outcome = if ok {
                     KvOutcome::Acked { version }
                 } else {
                     KvOutcome::Failed
                 };
-                self.resolve_client(req, outcome, out);
+                self.resolve_client(req, outcome);
             }
             KvMsg::Get { req, origin, key } => {
                 let resp = self.leader_get_resp(req, &key);
                 self.send(origin, resp);
             }
-            resp @ KvMsg::GetResp { .. } => self.finish_get(resp, out),
+            resp @ KvMsg::GetResp { .. } => self.finish_get(resp),
             KvMsg::Replicate {
                 partition,
                 req,
@@ -1871,7 +1797,7 @@ impl KvNode {
                 };
                 if done {
                     let p = self.pending_rep.remove(&req).expect("checked above");
-                    self.put_ack(p.client_req, p.origin, p.version, out);
+                    self.put_ack(p.client_req, p.origin, p.version);
                 }
             }
             KvMsg::Handoff { partition, entries } => {
@@ -1905,14 +1831,14 @@ impl KvNode {
             KvMsg::View { .. } => {} // Client-plane message; nodes ignore.
             KvMsg::CResp { .. } => {} // Client-plane verdict; nodes ignore.
             KvMsg::CPut { req, key, val } => {
-                self.on_client_op(from, req, &key, Some(&val), 0, now, out)
+                self.on_client_op(from, req, &key, Some(&val), 0, now)
             }
             KvMsg::CGet { req, key, floor } => {
-                self.on_client_op(from, req, &key, None, floor, now, out)
+                self.on_client_op(from, req, &key, None, floor, now)
             }
-            KvMsg::DigestReq { digests } => self.on_digest_req(from, digests, out),
-            KvMsg::DigestResp { digests } => self.on_digest_resp(from, digests, out),
-            KvMsg::RepairPull { partitions } => self.on_repair_pull(from, partitions, out),
+            KvMsg::DigestReq { digests } => self.on_digest_req(from, digests),
+            KvMsg::DigestResp { digests } => self.on_digest_resp(from, digests),
+            KvMsg::RepairPull { partitions } => self.on_repair_pull(from, partitions),
             KvMsg::RepairPush {
                 partition,
                 settled,
@@ -1984,7 +1910,7 @@ impl KvNode {
     /// either pull outright (partition still awaiting its handoff) or
     /// offer a digest for divergence detection. Messages are batched per
     /// peer.
-    fn run_repair(&mut self, _out: &mut Vec<KvOut>) {
+    fn run_repair(&mut self) {
         let Some((cfg, pl)) = self.view.clone() else {
             return;
         };
@@ -2040,12 +1966,7 @@ impl KvNode {
         }
     }
 
-    fn on_digest_req(
-        &mut self,
-        from: Endpoint,
-        digests: Vec<(u32, PartitionDigest)>,
-        _out: &mut Vec<KvOut>,
-    ) {
+    fn on_digest_req(&mut self, from: Endpoint, digests: Vec<(u32, PartitionDigest)>) {
         let mut mismatched = Vec::new();
         let mut pull = Vec::new();
         for (p, theirs) in digests {
@@ -2079,12 +2000,7 @@ impl KvNode {
         }
     }
 
-    fn on_digest_resp(
-        &mut self,
-        from: Endpoint,
-        digests: Vec<(u32, PartitionDigest)>,
-        _out: &mut Vec<KvOut>,
-    ) {
+    fn on_digest_resp(&mut self, from: Endpoint, digests: Vec<(u32, PartitionDigest)>) {
         let mut pull = Vec::new();
         for (p, theirs) in digests {
             if !self.replicates(p) {
@@ -2103,7 +2019,7 @@ impl KvNode {
         }
     }
 
-    fn on_repair_pull(&mut self, from: Endpoint, partitions: Vec<u32>, _out: &mut Vec<KvOut>) {
+    fn on_repair_pull(&mut self, from: Endpoint, partitions: Vec<u32>) {
         for p in partitions {
             if !self.replicates(p) {
                 continue;
@@ -2146,7 +2062,7 @@ impl KvNode {
             .collect();
         expired.sort_unstable();
         for req in expired {
-            self.resolve_client(req, KvOutcome::Failed, out);
+            self.resolve_client(req, KvOutcome::Failed);
         }
         let mut rep_expired: Vec<u64> = self
             .pending_rep
@@ -2157,7 +2073,7 @@ impl KvNode {
         rep_expired.sort_unstable();
         for req in rep_expired {
             if let Some(p) = self.pending_rep.remove(&req) {
-                self.put_fail(p.client_req, p.origin, out);
+                self.put_fail(p.client_req, p.origin);
             }
         }
         // One retry round per tick for reads whose last answer was
@@ -2173,12 +2089,12 @@ impl KvNode {
             if let Some(p) = self.pending_client.get_mut(&req) {
                 p.retry = false;
             }
-            self.forward_get(req, &key, out);
+            self.forward_get(req, &key);
         }
         if self.repair_interval_ms > 0 && now >= self.next_repair_at {
             self.next_repair_at = now + self.repair_interval_ms;
             self.last_repair_at = now;
-            self.run_repair(out);
+            self.run_repair();
         }
         self.flush(out);
     }
@@ -2392,6 +2308,49 @@ mod tests {
         nodes: Vec<KvNode>,
         config: Arc<Configuration>,
         crashed: Vec<usize>,
+        /// Last request id the test client used.
+        last_creq: u64,
+    }
+
+    /// The endpoint the harness's test client submits ops from.
+    fn test_client() -> Endpoint {
+        Endpoint::new("kv-test-client", 9100)
+    }
+
+    /// A client op as the wire frame a smart client would send.
+    fn client_msg(req: u64, op: ClientOp<'_>) -> KvMsg {
+        match op {
+            ClientOp::Put { key, val } => KvMsg::CPut {
+                req,
+                key: key.into(),
+                val: val.into(),
+            },
+            ClientOp::Get { key } => KvMsg::CGet {
+                req,
+                key: key.into(),
+                floor: 0,
+            },
+        }
+    }
+
+    /// Every verdict in `out` addressed to the test client, as
+    /// `(client request id, outcome)`.
+    fn verdicts(out: &[KvOut]) -> Vec<(u64, KvOutcome)> {
+        msgs_to(out, test_client())
+            .into_iter()
+            .map(|msg| match msg {
+                KvMsg::CResp {
+                    req,
+                    code,
+                    val,
+                    version,
+                } => match KvOutcome::from_cresp(code, val, version) {
+                    Ok(outcome) => (req, outcome),
+                    Err(e) => panic!("no op is shed here: {e}"),
+                },
+                other => panic!("nodes send clients only verdicts here, got {other:?}"),
+            })
+            .collect()
     }
 
     impl Mesh {
@@ -2416,7 +2375,17 @@ mod tests {
                 nodes,
                 config,
                 crashed: Vec::new(),
+                last_creq: 0,
             }
+        }
+
+        /// Submits `op` to node `via` as a frame from the test client;
+        /// returns the client request id and the node's output.
+        fn submit(&mut self, via: usize, op: ClientOp<'_>, now: u64) -> (u64, Vec<KvOut>) {
+            self.last_creq += 1;
+            let mut out = Vec::new();
+            self.nodes[via].on_message(test_client(), client_msg(self.last_creq, op), now, &mut out);
+            (self.last_creq, out)
         }
 
         fn idx_of(&self, addr: Endpoint) -> usize {
@@ -2426,7 +2395,8 @@ mod tests {
                 .expect("addressed node exists")
         }
 
-        /// Runs the message pump to quiescence, returning client results.
+        /// Runs the message pump to quiescence, returning the verdicts
+        /// the test client received.
         /// `origin` is the node whose outputs seeded the queue (the real
         /// hosts know the sender of every frame; RepAck quorums depend
         /// on it).
@@ -2440,7 +2410,9 @@ mod tests {
                 hops += 1;
                 assert!(hops < 10_000, "message storm");
                 match item {
-                    KvOut::Done(req, outcome) => done.push((req, outcome)),
+                    KvOut::Send(to, msg) if to == test_client() => {
+                        done.extend(verdicts(&[KvOut::Send(to, msg)]));
+                    }
                     KvOut::Send(to, msg) => {
                         let idx = self.idx_of(to);
                         if self.crashed.contains(&idx) {
@@ -2450,6 +2422,7 @@ mod tests {
                         self.nodes[idx].on_message(from, msg, 0, &mut out);
                         queue.extend(out.into_iter().map(|item| (to, item)));
                     }
+                    KvOut::Done(..) => unreachable!("nodes answer clients on the wire"),
                 }
             }
             done
@@ -2474,8 +2447,7 @@ mod tests {
     #[test]
     fn put_then_get_roundtrip_through_any_coordinator() {
         let mut mesh = Mesh::new(4);
-        let mut out = Vec::new();
-        let req = mesh.nodes[0].client_put("user:7", "v1", 0, &mut out);
+        let (req, out) = mesh.submit(0, ClientOp::Put { key: "user:7", val: "v1" }, 0);
         let results = mesh.pump_from(0, out);
         // The ack may have routed back through node 0's inbox; collect it.
         let acked = results
@@ -2484,8 +2456,7 @@ mod tests {
         assert!(acked, "put must ack: {results:?}");
 
         // Read through a different coordinator.
-        let mut out = Vec::new();
-        let req = mesh.nodes[3].client_get("user:7", 0, &mut out);
+        let (req, out) = mesh.submit(3, ClientOp::Get { key: "user:7" }, 0);
         let results = mesh.pump_from(3, out);
         assert!(
             results.iter().any(|(r, o)| *r == req
@@ -2494,8 +2465,7 @@ mod tests {
         );
 
         // A missing key reads as Missing, not Failed.
-        let mut out = Vec::new();
-        let req = mesh.nodes[2].client_get("user:unseen", 0, &mut out);
+        let (req, out) = mesh.submit(2, ClientOp::Get { key: "user:unseen" }, 0);
         let results = mesh.pump_from(2, out);
         assert!(results
             .iter()
@@ -2505,8 +2475,7 @@ mod tests {
     #[test]
     fn acked_writes_reach_every_replica() {
         let mut mesh = Mesh::new(5);
-        let mut out = Vec::new();
-        mesh.nodes[1].client_put("k", "v", 0, &mut out);
+        let (_, out) = mesh.submit(1, ClientOp::Put { key: "k", val: "v" }, 0);
         let results = mesh.pump_from(1, out);
         let version = match &results[..] {
             [(_, KvOutcome::Acked { version })] => *version,
@@ -2530,8 +2499,8 @@ mod tests {
         let mut mesh = Mesh::new(3);
         let mut versions = Vec::new();
         for i in 0..4 {
-            let mut out = Vec::new();
-            mesh.nodes[0].client_put("key", &format!("v{i}"), 0, &mut out);
+            let val = format!("v{i}");
+            let (_, out) = mesh.submit(0, ClientOp::Put { key: "key", val: &val }, 0);
             for (_, o) in mesh.pump_from(0, out) {
                 if let KvOutcome::Acked { version } = o {
                     versions.push(version);
@@ -2547,11 +2516,13 @@ mod tests {
         let m = members(1).remove(0);
         let mut kv = KvNode::new(m, spec(), 1_000, None);
         let mut out = Vec::new();
-        let req = kv.client_put("k", "v", 0, &mut out);
-        assert!(matches!(&out[..], [KvOut::Done(r, KvOutcome::Failed)] if *r == req));
+        kv.on_message(test_client(), client_msg(1, ClientOp::Put { key: "k", val: "v" }), 0, &mut out);
+        assert_eq!(verdicts(&out), vec![(1, KvOutcome::Failed)]);
+        assert_eq!(out.len(), 1, "the verdict is the only output: {out:?}");
         let mut out = Vec::new();
-        let req = kv.client_get("k", 0, &mut out);
-        assert!(matches!(&out[..], [KvOut::Done(r, KvOutcome::Failed)] if *r == req));
+        kv.on_message(test_client(), client_msg(2, ClientOp::Get { key: "k" }), 0, &mut out);
+        assert_eq!(verdicts(&out), vec![(2, KvOutcome::Failed)]);
+        assert_eq!(out.len(), 1, "the verdict is the only output: {out:?}");
         assert_eq!(kv.stats().puts_failed, 1);
         assert_eq!(kv.stats().gets_failed, 1);
     }
@@ -2561,7 +2532,6 @@ mod tests {
         // A coordinator whose leader never answers (we just don't deliver
         // the forward) fails the op at its deadline.
         let mut mesh = Mesh::new(3);
-        let mut out = Vec::new();
         // Find a key whose leader is NOT node 0 so the op stays pending.
         let key = (0..100)
             .map(|i| format!("probe-{i}"))
@@ -2570,24 +2540,14 @@ mod tests {
                 mesh.nodes[0].leader_addr(p) != Some(mesh.nodes[0].me().addr)
             })
             .expect("some key routes away from node 0");
-        let req = mesh.nodes[0].client_put(&key, "v", 0, &mut out);
-        assert!(matches!(&out[..], [KvOut::Send(..)]));
+        let (req, out) = mesh.submit(0, ClientOp::Put { key: &key, val: "v" }, 0);
+        assert!(matches!(&out[..], [KvOut::Send(to, KvMsg::Put { .. })] if *to != test_client()));
         let mut tick_out = Vec::new();
         mesh.nodes[0].on_tick(999, &mut tick_out);
-        assert!(
-            !tick_out.iter().any(|o| matches!(o, KvOut::Done(..))),
-            "not expired yet: {tick_out:?}"
-        );
+        assert!(verdicts(&tick_out).is_empty(), "not expired yet: {tick_out:?}");
         tick_out.clear();
         mesh.nodes[0].on_tick(1_000, &mut tick_out);
-        let dones: Vec<_> = tick_out
-            .iter()
-            .filter(|o| matches!(o, KvOut::Done(..)))
-            .collect();
-        assert!(
-            matches!(&dones[..], [KvOut::Done(r, KvOutcome::Failed)] if *r == req),
-            "{tick_out:?}"
-        );
+        assert_eq!(verdicts(&tick_out), vec![(req, KvOutcome::Failed)], "{tick_out:?}");
     }
 
     #[test]
@@ -2753,18 +2713,15 @@ mod tests {
         let (mut puts, mut gets) = (0u64, 0u64);
         for i in 0..40 {
             let key = format!("par-{i}");
-            let mut out = Vec::new();
-            mesh.nodes[i % 4].client_put(&key, "v", 0, &mut out);
+            let (_, out) = mesh.submit(i % 4, ClientOp::Put { key: &key, val: "v" }, 0);
             puts += 1;
             mesh.pump_from(i % 4, out);
-            let mut out = Vec::new();
-            mesh.nodes[(i + 1) % 4].client_get(&key, 0, &mut out);
+            let (_, out) = mesh.submit((i + 1) % 4, ClientOp::Get { key: &key }, 0);
             gets += 1;
             mesh.pump_from((i + 1) % 4, out);
         }
         // A read of a key that never existed also completes (Missing).
-        let mut out = Vec::new();
-        mesh.nodes[2].client_get("par-unseen", 0, &mut out);
+        let (_, out) = mesh.submit(2, ClientOp::Get { key: "par-unseen" }, 0);
         gets += 1;
         mesh.pump_from(2, out);
         let mut totals = KvStats::default();
@@ -3004,8 +2961,7 @@ mod tests {
             .expect("someone survives");
 
         // Ack a write through the surviving coordinator.
-        let mut out = Vec::new();
-        let req = mesh.nodes[coordinator].client_put(key, "precious", 0, &mut out);
+        let (req, out) = mesh.submit(coordinator, ClientOp::Put { key, val: "precious" }, 0);
         let results = mesh.pump_from(coordinator, out);
         let acked_version = results
             .iter()
@@ -3048,8 +3004,7 @@ mod tests {
             "the awaiting guard must not expire on a timer"
         );
         // And a client read of the acked key must never answer Missing.
-        let mut out = Vec::new();
-        let req = mesh.nodes[coordinator].client_get(key, 10_000, &mut out);
+        let (req, out) = mesh.submit(coordinator, ClientOp::Get { key }, 10_000);
         let results = mesh.pump_from(coordinator, out);
         assert!(
             !results
@@ -3108,8 +3063,7 @@ mod tests {
         for round in 0..6 {
             mesh.tick_all(21_000 + round * 1_000);
         }
-        let mut out = Vec::new();
-        let req = mesh.nodes[coordinator].client_get(key, 30_000, &mut out);
+        let (req, out) = mesh.submit(coordinator, ClientOp::Get { key }, 30_000);
         let mut results = mesh.pump_from(coordinator, out);
         // A first answer may have been stale/retryable; drive retries.
         for extra in 1..=5 {

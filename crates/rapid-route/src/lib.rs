@@ -28,11 +28,12 @@
 //! * [`sim`] — the data plane co-hosted with membership inside the
 //!   deterministic simulator ([`sim::KvSimActor`]).
 //! * [`real`] — the data plane on real TCP ([`real::KvRuntime`]), riding
-//!   the transport's app frames. With `Settings::kv_shards > 1` it runs
-//!   thread-per-core: per-partition state splits across shard threads
-//!   chosen by the same rendezvous construction as placement
-//!   ([`placement::shard_of`]), the membership plane fans views out over
-//!   sequenced channels, and shards share no mutable state.
+//!   the transport's app frames. Every shard thread (`Settings::kv_shards`
+//!   of them) and the smart-client thread run one blocking host loop;
+//!   per-partition state splits across shards by the same rendezvous
+//!   construction as placement ([`placement::shard_of`]), the transport
+//!   delivers frames and views straight into the shard inboxes, and
+//!   shards share no mutable state.
 //!
 //! See `docs/ROUTING.md` for the algorithm, the plan format, and driver
 //! caveats.

@@ -1,35 +1,40 @@
 //! Hosting the KV data plane on the real TCP transport.
 //!
-//! [`KvRuntime`] owns a [`rapid_transport::Runtime`] and drives the KV
-//! data plane from its event stream: view changes feed placement, app
-//! frames carry [`KvMsg`](crate::kv::KvMsg)s, and client operations
-//! arrive over channels and resolve through per-op reply channels. The
-//! data plane is the same state machine the simulator runs — only the
-//! clock and the wires differ.
+//! Every thread that runs a sans-io core runs the same [`host_loop`]: it
+//! owns one inbox, blocks until input arrives or its next timer is due,
+//! reads the clock once it wakes, drains the inbox fully, and then sends
+//! everything the core emitted. The loop holds no protocol state; the
+//! core lives behind a mutex that the accessors lock to read counters
+//! and snapshots.
 //!
-//! With `Settings::kv_shards == 1` (the default) a single worker thread
-//! hosts one [`KvNode`] — the sans-io oracle path, bit-identical to the
-//! pre-sharding runtime. With `kv_shards = W > 1` the data plane runs
-//! thread-per-core: `W` shard threads each own a [`KvNode`] restricted
-//! (via [`KvNode::with_shard`]) to the partitions
-//! [`shard_of`](crate::placement::shard_of) assigns them, while the
-//! membership plane stays on one worker that fans every view adoption
-//! out to all shards over sequenced FIFO channels and splits inbound
-//! frames with [`kv::shard_route`]. Shards share no mutable state; each
-//! sends through its own clone of the transport's
-//! [`AppSender`](rapid_transport::AppSender), which feeds the per-peer
-//! writer threads.
+//! [`KvRuntime`] owns a [`rapid_transport::Runtime`] and `W =
+//! Settings::kv_shards` shard threads, each hosting a [`KvNode`]
+//! restricted (via [`KvNode::with_shard`]) to the partitions
+//! [`shard_of`](crate::placement::shard_of) assigns it. The runtime's
+//! sink runs on the transport's threads: a reader decodes each app frame
+//! and splits it across shard inboxes with [`kv::shard_route`]; the
+//! driver broadcasts every view to all shards, in order. Shards send
+//! through their own clone of the transport's
+//! [`AppSender`](rapid_transport::AppSender), straight onto the per-peer
+//! writer queues. At `W = 1` an inbound frame therefore crosses a reader
+//! thread and the shard thread, and nothing else.
+//!
+//! [`KvClientRuntime`] runs a [`KvClient`] the same way on an
+//! [`AppPeer`]; ops reach it through its inbox and verdicts come back on
+//! per-op reply channels. Ops reach a [`KvNode`] only as wire frames from
+//! a client.
 
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
-use rapid_core::config::{Configuration, Member};
+use rapid_core::config::Configuration;
 use rapid_core::hash::DetHashMap;
 use rapid_core::id::Endpoint;
-use rapid_core::membership::ViewChange;
 use rapid_core::node::NodeStatus;
 use rapid_core::obs::{LatencyHist, Timeline, TimelinePoint, DEFAULT_TIMELINE_CAP};
 use rapid_core::settings::Settings;
@@ -37,136 +42,254 @@ use rapid_transport::{AppEvent, AppPeer, AppSender, Runtime};
 
 use crate::client::{ClientStats, KvClient};
 use crate::kv::{self, ClientOp, KvMsg, KvNode, KvOut, KvOutcome, KvStats, PartitionDigest};
-use crate::placement::{partition_of, shard_of, PlacementConfig};
+use crate::placement::PlacementConfig;
 
-/// A client operation submitted to the worker.
-enum RealOp {
-    Put {
-        key: String,
-        val: String,
-        reply: Sender<KvOutcome>,
-    },
-    Get {
-        key: String,
-        reply: Sender<KvOutcome>,
-    },
+/// Timer cadence of every host loop (KV ticks, client retries).
+const HOST_TICK: Duration = Duration::from_millis(20);
+
+/// Capacity of every host inbox.
+const INBOX_DEPTH: usize = 16 * 1024;
+
+// ---------------------------------------------------------------------------
+// The host loop
+// ---------------------------------------------------------------------------
+
+/// A sans-io core as seen by the one thread that drives it.
+trait Plane {
+    /// What the thread's inbox carries.
+    type In;
+    /// Applies a drained inbox batch, emptying it; `false` stops the
+    /// thread.
+    fn apply(&mut self, batch: &mut Vec<Self::In>, now: u64, out: &mut Vec<KvOut>) -> bool;
+    /// Runs the timers due at `at` and returns the next deadline.
+    fn timers(&mut self, at: Instant, now: u64, out: &mut Vec<KvOut>) -> Instant;
+    /// Hands over the verdict of an op this host submitted.
+    fn done(&mut self, req: u64, outcome: KvOutcome);
 }
 
-enum RealCtl {
-    Leave,
-    Shutdown,
+/// The one host loop every KV shard thread and the client thread run.
+fn host_loop<P: Plane>(mut plane: P, inbox: Receiver<P::In>, sender: AppSender, start: Instant) {
+    let mut batch = Vec::new();
+    let mut out = Vec::new();
+    let mut deadline = Instant::now();
+    loop {
+        match inbox.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
+            Ok(item) => batch.push(item),
+            Err(RecvTimeoutError::Timeout) => {}
+            Err(RecvTimeoutError::Disconnected) => return,
+        }
+        while let Ok(item) = inbox.try_recv() {
+            batch.push(item);
+        }
+        let woke = Instant::now();
+        let now = woke.duration_since(start).as_millis() as u64;
+        if !batch.is_empty() && !plane.apply(&mut batch, now, &mut out) {
+            return;
+        }
+        if woke >= deadline {
+            deadline = plane.timers(woke, now, &mut out);
+        }
+        for item in out.drain(..) {
+            match item {
+                KvOut::Send(to, msg) => {
+                    let mut buf = Vec::with_capacity(kv::encoded_len(&msg));
+                    kv::encode(&msg, &mut buf);
+                    sender.send_app(to, buf);
+                }
+                KvOut::Done(req, outcome) => plane.done(req, outcome),
+            }
+        }
+    }
 }
+
+// ---------------------------------------------------------------------------
+// KV shards
+// ---------------------------------------------------------------------------
 
 /// One per-shard observability sample, taken on the `obs_sample_ms`
-/// cadence by the membership worker (or the single worker when
-/// `kv_shards == 1`).
+/// cadence by shard 0.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ShardPoint {
     /// Sample time on the process wall clock (ms since start).
     pub t_ms: u64,
-    /// Remote client ops pending in the shard's admission inbox.
+    /// Client ops pending at the shard (its admission inbox).
     pub depth: u64,
     /// Successful client ops the shard completed during the interval.
     pub ops: u64,
 }
 
-/// Input to a shard thread. Views are broadcast by the membership
-/// worker with a monotone sequence number; the FIFO channel guarantees
-/// every shard adopts them in the same order, so all shards recompute
+/// Input to a shard thread. Only the transport's driver thread delivers
+/// views, so every shard adopts them in the same order and recomputes
 /// the identical placement.
 enum ShardIn {
-    View(u64, Arc<Configuration>),
-    Msg(Endpoint, KvMsg),
+    Frame(Endpoint, KvMsg),
+    View(Arc<Configuration>),
     /// The merged interval quantiles, fed back as the admission
-    /// controller's latency signal (mirrors the unsharded sweep).
+    /// controller's latency signal.
     NoteInterval(u64, u64),
     Stop,
 }
 
-/// Snapshot a shard thread publishes for the membership worker to merge.
-#[derive(Clone)]
-struct ShardPub {
+/// A shard's state machine, shared between its thread and the accessors.
+type Core = Arc<Mutex<KvNode>>;
+
+/// Process-level totals over the shard cores, read under each shard's
+/// lock in turn.
+struct Totals {
     stats: KvStats,
-    inbox_depth: usize,
-    client_conns: usize,
-    digests: Vec<(u32, PartitionDigest, bool)>,
     op_hist: LatencyHist,
-}
-
-impl ShardPub {
-    fn new() -> ShardPub {
-        ShardPub {
-            stats: KvStats::default(),
-            inbox_depth: 0,
-            client_conns: 0,
-            digests: Vec::new(),
-            op_hist: LatencyHist::new(),
-        }
-    }
-}
-
-/// A running shard thread: its input channel and join handle.
-struct Shard {
-    tx: Sender<ShardIn>,
-    handle: JoinHandle<()>,
-}
-
-fn stop_shards(shards: &mut Vec<Shard>) {
-    for s in shards.iter() {
-        let _ = s.tx.send(ShardIn::Stop);
-    }
-    for s in shards.drain(..) {
-        let _ = s.handle.join();
-    }
-}
-
-/// Worker-published view of the node, for the scenario driver's polls.
-#[derive(Clone, Debug)]
-struct Mirror {
-    status: NodeStatus,
-    view_len: usize,
-    view_count: u64,
-    stats: KvStats,
-    /// Remote client ops currently pending on this coordinator (the
-    /// admission-controlled inbox).
-    inbox_depth: usize,
-    /// Subscribed smart clients.
     client_conns: usize,
-    /// Inbound frames dropped by the transport's per-peer quota.
-    quota_dropped: u64,
-    /// `(partition, digest, settled)` for every replicated partition —
-    /// the scenario driver's `kv_converged` sweep compares these across
-    /// processes.
-    digests: Vec<(u32, PartitionDigest, bool)>,
-    /// Coordinator-side latency histogram of successful client ops, on
-    /// the worker's wall clock (ms). Refreshed on the digest cadence.
-    op_hist: LatencyHist,
-    /// Sampled metrics timeline (interval deltas on the wall clock),
-    /// republished in full on every sweep. Empty when `obs_sample_ms`
-    /// is 0.
-    timeline: Vec<TimelinePoint>,
-    /// Sweeps lost to the bounded timeline ring wrapping.
-    timeline_dropped: u64,
-    /// Latest per-shard admission-inbox depths (one entry per shard;
-    /// a single entry on the unsharded path).
-    shard_depths: Vec<u64>,
-    /// Latest per-shard cumulative successful-op counts.
+    /// `(admission-inbox depth, cumulative successful ops)` per shard.
+    per_shard: Vec<(u64, u64)>,
+}
+
+fn totals(cores: &[Core]) -> Totals {
+    let mut t = Totals {
+        stats: KvStats::default(),
+        op_hist: LatencyHist::new(),
+        client_conns: 0,
+        per_shard: Vec::with_capacity(cores.len()),
+    };
+    for core in cores {
+        let kv = core.lock();
+        let s = kv.stats();
+        t.stats.absorb(s);
+        t.op_hist.merge(kv.op_hist());
+        t.client_conns += kv.client_conns();
+        t.per_shard.push((kv.inbox_depth() as u64, s.puts_acked + s.gets_ok));
+    }
+    t
+}
+
+/// What the sampler publishes: the process timeline and one bounded
+/// series per shard.
+struct Sampled {
+    timeline: Timeline,
+    series: Vec<VecDeque<ShardPoint>>,
+}
+
+/// The `obs_sample_ms` sweep, run by shard 0: one process-level
+/// timeline point of interval deltas (the simulator's delta sampler, on
+/// the wall clock), the interval latency signal broadcast to every
+/// shard, and one point per shard series. Membership wire counters live
+/// on the transport's driver thread, so the real-driver timeline carries
+/// the data plane (ops, handoff/repair bytes, view changes) — the
+/// simulator fills the network columns.
+struct Sampler {
+    cores: Vec<Core>,
+    inboxes: Vec<Sender<ShardIn>>,
+    view_count: Arc<AtomicU64>,
+    sampled: Arc<Mutex<Sampled>>,
+    every: Duration,
+    next: Instant,
+    cursor: TimelinePoint,
+    prev_hist: LatencyHist,
     shard_ops: Vec<u64>,
-    /// Per-shard sampled series on the timeline cadence, oldest first.
-    shard_series: Vec<Vec<ShardPoint>>,
+}
+
+impl Sampler {
+    fn sample(&mut self, t_ms: u64) {
+        let Totals {
+            stats,
+            op_hist: hist,
+            per_shard,
+            ..
+        } = totals(&self.cores);
+        let (_, p50, p99) = hist.interval_quantiles(&self.prev_hist);
+        // Every shard's admission controller sees the same process-level
+        // p99 (shard 0's own copy arrives through its inbox too).
+        for tx in &self.inboxes {
+            let _ = tx.try_send(ShardIn::NoteInterval(p50, p99));
+        }
+        let views = self.view_count.load(Ordering::Relaxed);
+        let ops = stats.puts_acked + stats.gets_ok;
+        let now = TimelinePoint {
+            t_ms,
+            view_changes: views,
+            ops,
+            handoff_bytes: stats.bytes_moved,
+            repair_bytes: stats.repair_bytes,
+            ..TimelinePoint::default()
+        };
+        let mut sampled = self.sampled.lock();
+        sampled.timeline.push(TimelinePoint {
+            view_changes: views - self.cursor.view_changes,
+            ops: ops - self.cursor.ops,
+            handoff_bytes: now.handoff_bytes - self.cursor.handoff_bytes,
+            repair_bytes: now.repair_bytes - self.cursor.repair_bytes,
+            p50_ms: p50,
+            p99_ms: p99,
+            ..now
+        });
+        // Series carry interval deltas, like the timeline.
+        for (i, &(depth, cum)) in per_shard.iter().enumerate() {
+            let series = &mut sampled.series[i];
+            if series.len() >= DEFAULT_TIMELINE_CAP {
+                series.pop_front();
+            }
+            series.push_back(ShardPoint {
+                t_ms,
+                depth,
+                ops: cum.saturating_sub(self.shard_ops[i]),
+            });
+            self.shard_ops[i] = cum;
+        }
+        self.cursor = now;
+        self.prev_hist = hist;
+    }
+}
+
+/// A shard thread's plane: its core, plus the sampler on shard 0.
+struct ShardPlane {
+    kv: Core,
+    sampler: Option<Sampler>,
+}
+
+impl Plane for ShardPlane {
+    type In = ShardIn;
+
+    fn apply(&mut self, batch: &mut Vec<ShardIn>, now: u64, out: &mut Vec<KvOut>) -> bool {
+        let mut kv = self.kv.lock();
+        for input in batch.drain(..) {
+            match input {
+                ShardIn::Frame(from, msg) => kv.on_message(from, msg, now, out),
+                ShardIn::View(cfg) => kv.on_view(cfg, now, out),
+                ShardIn::NoteInterval(p50, p99) => kv.note_interval(p50, p99),
+                ShardIn::Stop => return false,
+            }
+        }
+        true
+    }
+
+    fn timers(&mut self, at: Instant, now: u64, out: &mut Vec<KvOut>) -> Instant {
+        self.kv.lock().on_tick(now, out);
+        let mut next = at + HOST_TICK;
+        if let Some(s) = &mut self.sampler {
+            if at >= s.next {
+                s.sample(now);
+                s.next += s.every;
+            }
+            next = next.min(s.next);
+        }
+        next
+    }
+
+    fn done(&mut self, _req: u64, _outcome: KvOutcome) {
+        // Shards submit no ops of their own: client verdicts leave as
+        // `CResp` frames.
+    }
 }
 
 /// A real process running membership + the KV data plane.
 pub struct KvRuntime {
     addr: Endpoint,
-    /// One submission channel per data-plane shard; ops route by
-    /// `shard_of(partition_of(key))`, so the shard that allocates a
-    /// request id is the shard that completes it.
-    ops_txs: Vec<Sender<RealOp>>,
-    partitions: u32,
-    ctl_tx: Sender<RealCtl>,
-    mirror: Arc<Mutex<Mirror>>,
-    handle: Option<JoinHandle<()>>,
+    /// The transport; taken only when the runtime stops.
+    rt: Option<Runtime>,
+    cores: Vec<Core>,
+    inboxes: Vec<Sender<ShardIn>>,
+    threads: Vec<JoinHandle<()>>,
+    view_count: Arc<AtomicU64>,
+    sampled: Arc<Mutex<Sampled>>,
     introspect_addr: Option<std::net::SocketAddr>,
 }
 
@@ -180,16 +303,7 @@ impl KvRuntime {
         op_timeout_ms: u64,
         repair_interval_ms: u64,
     ) -> std::io::Result<KvRuntime> {
-        let batch_wire = settings.batch_wire;
-        let obs_ring = settings.obs_ring;
-        let obs_sample_ms = settings.obs_sample_ms;
-        let admission = (settings.kv_inbox, settings.kv_shed_p99_ms);
-        let shards = Self::check_shards(settings.kv_shards, route)?;
-        let rt = Runtime::start_seed(listen, settings)?;
-        Ok(Self::wrap(
-            rt, route, op_timeout_ms, repair_interval_ms, false, batch_wire, obs_ring,
-            obs_sample_ms, admission, shards,
-        ))
+        Self::start(listen, None, settings, route, op_timeout_ms, repair_interval_ms)
     }
 
     /// Starts a joining process with the data plane attached.
@@ -202,16 +316,14 @@ impl KvRuntime {
         op_timeout_ms: u64,
         repair_interval_ms: u64,
     ) -> std::io::Result<KvRuntime> {
-        let batch_wire = settings.batch_wire;
-        let obs_ring = settings.obs_ring;
-        let obs_sample_ms = settings.obs_sample_ms;
-        let admission = (settings.kv_inbox, settings.kv_shed_p99_ms);
-        let shards = Self::check_shards(settings.kv_shards, route)?;
-        let rt = Runtime::start_joiner(listen, seeds, settings, metadata)?;
-        Ok(Self::wrap(
-            rt, route, op_timeout_ms, repair_interval_ms, true, batch_wire, obs_ring,
-            obs_sample_ms, admission, shards,
-        ))
+        Self::start(
+            listen,
+            Some((seeds, metadata)),
+            settings,
+            route,
+            op_timeout_ms,
+            repair_interval_ms,
+        )
     }
 
     /// A shard with no partitions could never serve an op, so more
@@ -232,139 +344,144 @@ impl KvRuntime {
         Ok(shards)
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn wrap(
-        mut rt: Runtime,
+    fn start(
+        listen: Endpoint,
+        join: Option<(Vec<Endpoint>, rapid_core::Metadata)>,
+        settings: Settings,
         route: PlacementConfig,
         op_timeout_ms: u64,
         repair_interval_ms: u64,
-        joiner: bool,
-        batch_wire: bool,
-        obs_ring: usize,
-        obs_sample_ms: u64,
-        admission: (usize, u64),
-        shards: usize,
-    ) -> KvRuntime {
-        let addr = *rt.addr();
-        let me: Member = rt.member().clone();
-        let (ctl_tx, ctl_rx) = bounded::<RealCtl>(16);
-        let mirror = Arc::new(Mutex::new(Mirror {
-            status: rt.status(),
-            view_len: rt.view().len(),
-            view_count: 0,
-            stats: KvStats::default(),
-            inbox_depth: 0,
-            client_conns: 0,
-            quota_dropped: 0,
-            digests: Vec::new(),
-            op_hist: LatencyHist::new(),
-            timeline: Vec::new(),
-            timeline_dropped: 0,
-            shard_depths: vec![0; shards],
-            shard_ops: vec![0; shards],
-            shard_series: vec![Vec::new(); shards],
+    ) -> std::io::Result<KvRuntime> {
+        let shards = Self::check_shards(settings.kv_shards, route)?;
+        let (inboxes, rxs): (Vec<_>, Vec<_>) =
+            (0..shards).map(|_| bounded::<ShardIn>(INBOX_DEPTH)).unzip();
+        let view_count = Arc::new(AtomicU64::new(0));
+        // The sink runs on the transport's threads, and a peer's reader
+        // also carries its membership frames, so a data frame for a full
+        // shard inbox is dropped rather than waited for: the wire is
+        // lossy anyway, and client retries and repair cover the loss.
+        // Views are rare and must stay ordered, so the driver waits for
+        // room to deliver them.
+        let sink = {
+            let inboxes = inboxes.clone();
+            let view_count = Arc::clone(&view_count);
+            let partitions = route.partitions;
+            move |ev: AppEvent| {
+                let config = match ev {
+                    AppEvent::App(from, bytes) => {
+                        // Corrupt peer payloads are dropped, like the
+                        // transport does.
+                        if let Ok(msg) = kv::decode(&bytes) {
+                            for (idx, part) in kv::shard_route(msg, partitions, shards) {
+                                let _ = inboxes[idx].try_send(ShardIn::Frame(from, part));
+                            }
+                        }
+                        return;
+                    }
+                    AppEvent::View(vc) => {
+                        view_count.fetch_add(1, Ordering::Relaxed);
+                        vc.configuration
+                    }
+                    AppEvent::Joined(config) => config,
+                    AppEvent::Kicked => return,
+                };
+                for tx in &inboxes {
+                    let _ = tx.send(ShardIn::View(Arc::clone(&config)));
+                }
+            }
+        };
+        let joiner = join.is_some();
+        let mut rt = match join {
+            None => Runtime::start_seed(listen, settings.clone(), sink)?,
+            Some((seeds, metadata)) => {
+                Runtime::start_joiner(listen, seeds, settings.clone(), metadata, sink)?
+            }
+        };
+        let cores: Vec<Core> = (0..shards)
+            .map(|i| {
+                let mut kv = KvNode::new(rt.member().clone(), route, op_timeout_ms, None)
+                    .with_shard(i, shards)
+                    .with_repair_interval(repair_interval_ms)
+                    .with_batching(settings.batch_wire)
+                    .with_obs(settings.obs_ring)
+                    // Split the admission budget so the process-level
+                    // bound stays put (exact at W = 1).
+                    .with_admission(settings.kv_inbox.div_ceil(shards), settings.kv_shed_p99_ms);
+                if joiner {
+                    kv = kv.expect_initial_handoffs();
+                }
+                Arc::new(Mutex::new(kv))
+            })
+            .collect();
+        let sampling = settings.obs_sample_ms > 0;
+        let sampled = Arc::new(Mutex::new(Sampled {
+            timeline: Timeline::new(if sampling { DEFAULT_TIMELINE_CAP } else { 0 }),
+            series: vec![VecDeque::new(); shards],
         }));
         // Opt-in live introspection: with `RAPID_INTROSPECT=1` the
         // transport serves a one-line JSON status on a loopback side
-        // listener, and the KV layer appends its published data-plane
-        // counters, op-latency quantiles, and per-shard depth/ops to
-        // that line.
+        // listener, and the KV layer appends its data-plane counters,
+        // op-latency quantiles, and per-shard depth/ops to that line.
         let introspect_addr = if std::env::var("RAPID_INTROSPECT").as_deref() == Ok("1") {
-            let probe_mirror = Arc::clone(&mirror);
+            let probe = cores.clone();
             rt.serve_introspection(move |line| {
-                let m = probe_mirror.lock();
-                let (p50, p99) = (
-                    m.op_hist.quantile_ppm(500_000),
-                    m.op_hist.quantile_ppm(990_000),
-                );
-                let join = |v: &[u64]| {
-                    v.iter()
-                        .map(|x| x.to_string())
-                        .collect::<Vec<_>>()
-                        .join(",")
+                let t = totals(&probe);
+                let (p50, p99) = (t.op_hist.quantile_ppm(500_000), t.op_hist.quantile_ppm(990_000));
+                let join = |f: fn(&(u64, u64)) -> u64| {
+                    t.per_shard.iter().map(|p| f(p).to_string()).collect::<Vec<_>>().join(",")
                 };
+                let depth: u64 = t.per_shard.iter().map(|p| p.0).sum();
+                let s = t.stats;
                 line.push_str(&format!(
-                    ",\"puts_acked\":{},\"gets_ok\":{},\"bytes_moved\":{},\"repair_bytes\":{},\"op_p50_ms\":{},\"op_p99_ms\":{},\"inbox_depth\":{},\"shed_ops\":{},\"client_conns\":{},\"quota_dropped\":{},\"shards\":{},\"shard_depth\":[{}],\"shard_ops\":[{}]",
-                    m.stats.puts_acked, m.stats.gets_ok, m.stats.bytes_moved,
-                    m.stats.repair_bytes, p50, p99,
-                    m.inbox_depth, m.stats.ops_shed, m.client_conns, m.quota_dropped,
-                    m.shard_depths.len(), join(&m.shard_depths), join(&m.shard_ops),
+                    ",\"puts_acked\":{},\"gets_ok\":{},\"bytes_moved\":{},\"repair_bytes\":{},\"op_p50_ms\":{p50},\"op_p99_ms\":{p99},\"inbox_depth\":{depth},\"shed_ops\":{},\"client_conns\":{},\"shards\":{},\"shard_depth\":[{}],\"shard_ops\":[{}]",
+                    s.puts_acked, s.gets_ok, s.bytes_moved, s.repair_bytes, s.ops_shed,
+                    t.client_conns, t.per_shard.len(), join(|p| p.0), join(|p| p.1),
                 ));
             })
             .ok()
         } else {
             None
         };
-        let worker_mirror = Arc::clone(&mirror);
-        let build_kv = |index: usize| {
-            let mut kv = KvNode::new(me.clone(), route, op_timeout_ms, None)
-                .with_shard(index, shards)
-                .with_repair_interval(repair_interval_ms)
-                .with_batching(batch_wire)
-                .with_obs(obs_ring)
-                // Split the admission budget so the process-level bound
-                // stays put (exact on the unsharded path).
-                .with_admission(admission.0.div_ceil(shards), admission.1);
-            if joiner {
-                kv = kv.expect_initial_handoffs();
-            }
-            kv
-        };
-        let (ops_txs, handle) = if shards == 1 {
-            // Single-threaded oracle path: one worker drives membership
-            // and the data plane, exactly as before sharding existed.
-            let kv = build_kv(0);
-            let (ops_tx, ops_rx) = bounded::<RealOp>(16 * 1024);
-            let handle = std::thread::spawn(move || {
-                worker(rt, kv, ops_rx, ctl_rx, worker_mirror, obs_sample_ms);
-            });
-            (vec![ops_tx], handle)
-        } else {
-            // Thread-per-core path: W shard threads own the data plane;
-            // the membership worker owns the transport event stream and
-            // fans views/frames out to them.
-            let start = Instant::now();
-            let mut ops_txs = Vec::with_capacity(shards);
-            let mut shard_handles = Vec::with_capacity(shards);
-            let mut pubs = Vec::with_capacity(shards);
-            for i in 0..shards {
-                let kv = build_kv(i);
-                let (ops_tx, ops_rx) = bounded::<RealOp>(16 * 1024);
-                let (in_tx, in_rx) = bounded::<ShardIn>(16 * 1024);
-                let slot = Arc::new(Mutex::new(ShardPub::new()));
-                let sender = rt.app_sender();
-                let shard_slot = Arc::clone(&slot);
-                let handle = std::thread::spawn(move || {
-                    shard_worker(kv, in_rx, ops_rx, sender, shard_slot, start);
+        let start = Instant::now();
+        let threads = cores
+            .iter()
+            .zip(rxs)
+            .enumerate()
+            .map(|(i, (core, rx))| {
+                let every = Duration::from_millis(settings.obs_sample_ms);
+                let sampler = (i == 0 && sampling).then(|| Sampler {
+                    cores: cores.clone(),
+                    inboxes: inboxes.clone(),
+                    view_count: Arc::clone(&view_count),
+                    sampled: Arc::clone(&sampled),
+                    every,
+                    next: Instant::now() + every,
+                    cursor: TimelinePoint::default(),
+                    prev_hist: LatencyHist::new(),
+                    shard_ops: vec![0; shards],
                 });
-                ops_txs.push(ops_tx);
-                pubs.push(slot);
-                shard_handles.push(Shard { tx: in_tx, handle });
-            }
-            let partitions = route.partitions;
-            let handle = std::thread::spawn(move || {
-                membership_worker(
-                    rt,
-                    shard_handles,
-                    ctl_rx,
-                    worker_mirror,
-                    pubs,
-                    partitions,
-                    obs_sample_ms,
-                    start,
-                );
-            });
-            (ops_txs, handle)
-        };
-        KvRuntime {
-            addr,
-            ops_txs,
-            partitions: route.partitions,
-            ctl_tx,
-            mirror,
-            handle: Some(handle),
+                let plane = ShardPlane {
+                    kv: Arc::clone(core),
+                    sampler,
+                };
+                let sender = rt.app_sender();
+                std::thread::spawn(move || host_loop(plane, rx, sender, start))
+            })
+            .collect();
+        Ok(KvRuntime {
+            addr: *rt.addr(),
+            rt: Some(rt),
+            cores,
+            inboxes,
+            threads,
+            view_count,
+            sampled,
             introspect_addr,
-        }
+        })
+    }
+
+    fn rt(&self) -> &Runtime {
+        self.rt.as_ref().expect("the transport lives as long as the runtime")
     }
 
     /// The node's listen address.
@@ -372,83 +489,90 @@ impl KvRuntime {
         self.addr
     }
 
-    /// Latest published lifecycle status.
+    /// Lifecycle status.
     pub fn status(&self) -> NodeStatus {
-        self.mirror.lock().status
+        self.rt().status()
     }
 
-    /// Latest published view size.
+    /// Current view size.
     pub fn view_len(&self) -> usize {
-        self.mirror.lock().view_len
+        self.rt().view().len()
     }
 
     /// View changes observed so far.
     pub fn view_count(&self) -> u64 {
-        self.mirror.lock().view_count
+        self.view_count.load(Ordering::Relaxed)
     }
 
-    /// Latest published data-plane counters.
+    /// Data-plane counters, merged across shards.
     pub fn stats(&self) -> KvStats {
-        self.mirror.lock().stats
+        totals(&self.cores).stats
     }
 
-    /// Latest published admission-inbox depth (remote client ops pending
-    /// on this coordinator).
+    /// Admission-inbox depth: remote client ops pending on this
+    /// coordinator, summed across shards.
     pub fn inbox_depth(&self) -> usize {
-        self.mirror.lock().inbox_depth
+        self.cores.iter().map(|c| c.lock().inbox_depth()).sum()
     }
 
-    /// Latest published subscribed-client count.
+    /// Subscribed-client count.
     pub fn client_conns(&self) -> usize {
-        self.mirror.lock().client_conns
+        totals(&self.cores).client_conns
     }
 
-    /// Latest published per-peer-quota drop count from the transport.
+    /// Per-peer-quota drop count from the transport.
     pub fn quota_dropped(&self) -> u64 {
-        self.mirror.lock().quota_dropped
+        self.rt().quota_dropped()
     }
 
-    /// Latest published successful-op latency histogram (wall-clock ms).
+    /// Successful-op latency histogram (wall-clock ms), merged across
+    /// shards.
     pub fn op_hist(&self) -> LatencyHist {
-        self.mirror.lock().op_hist.clone()
+        totals(&self.cores).op_hist
     }
 
-    /// Latest published `(partition, digest, settled)` snapshot of every
-    /// partition this process replicates.
+    /// `(partition, digest, settled)` for every partition this process
+    /// replicates, sorted by partition — the scenario driver's
+    /// `kv_converged` sweep compares these across processes.
     pub fn digest_snapshot(&self) -> Vec<(u32, PartitionDigest, bool)> {
-        self.mirror.lock().digests.clone()
+        let mut digests: Vec<_> = self
+            .cores
+            .iter()
+            .flat_map(|c| c.lock().digest_snapshot())
+            .collect();
+        digests.sort_unstable_by_key(|&(p, _, _)| p);
+        digests
     }
 
-    /// Latest published metrics timeline: one interval-delta point per
-    /// elapsed `obs_sample_ms` on the worker's wall clock, oldest first.
-    /// Empty when sampling is disabled (`obs_sample_ms == 0`).
+    /// The sampled metrics timeline: one interval-delta point per
+    /// elapsed `obs_sample_ms` on the wall clock, oldest first. Empty
+    /// when sampling is disabled (`obs_sample_ms == 0`).
     pub fn timeline(&self) -> Vec<TimelinePoint> {
-        self.mirror.lock().timeline.clone()
+        self.sampled.lock().timeline.iter_in_order().copied().collect()
     }
 
     /// Timeline sweeps lost to the bounded ring wrapping.
     pub fn timeline_dropped(&self) -> u64 {
-        self.mirror.lock().timeline_dropped
+        self.sampled.lock().timeline.dropped()
     }
 
-    /// Number of data-plane shard threads (`1` = the single-threaded
-    /// oracle path).
+    /// Number of data-plane shard threads.
     pub fn shards(&self) -> usize {
-        self.ops_txs.len()
+        self.cores.len()
     }
 
-    /// Latest published per-shard admission-inbox depths, one entry per
-    /// shard (a single entry on the unsharded path).
+    /// Per-shard admission-inbox depths, one entry per shard.
     pub fn shard_depths(&self) -> Vec<u64> {
-        self.mirror.lock().shard_depths.clone()
+        self.cores.iter().map(|c| c.lock().inbox_depth() as u64).collect()
     }
 
-    /// Latest published per-shard sampled series: one
-    /// `(t_ms, depth, ops)` point per elapsed `obs_sample_ms`, oldest
-    /// first, one series per shard. Rides the same cadence as
-    /// [`Self::timeline`] but is never part of any report schema.
+    /// Per-shard sampled series: one `(t_ms, depth, ops)` point per
+    /// elapsed `obs_sample_ms`, oldest first, one series per shard. Rides
+    /// the same cadence as [`Self::timeline`] but is never part of any
+    /// report schema.
     pub fn shard_timeline(&self) -> Vec<Vec<ShardPoint>> {
-        self.mirror.lock().shard_series.clone()
+        let sampled = self.sampled.lock();
+        sampled.series.iter().map(|s| s.iter().copied().collect()).collect()
     }
 
     /// The loopback introspection listener's address, when enabled via
@@ -457,534 +581,126 @@ impl KvRuntime {
         self.introspect_addr
     }
 
-    /// The shard that coordinates `key`: the same rendezvous function
-    /// placement uses, over the key's partition.
-    fn shard_for(&self, key: &str) -> usize {
-        shard_of(partition_of(key, self.partitions), self.ops_txs.len())
-    }
-
-    /// Begins a write through this process; the outcome arrives on the
-    /// returned channel (dropped channel = op abandoned).
-    pub fn begin_put(&self, key: &str, val: &str) -> Receiver<KvOutcome> {
-        let (reply, rx) = bounded(1);
-        let _ = self.ops_txs[self.shard_for(key)].try_send(RealOp::Put {
-            key: key.to_string(),
-            val: val.to_string(),
-            reply,
-        });
-        rx
-    }
-
-    /// Begins a read through this process.
-    pub fn begin_get(&self, key: &str) -> Receiver<KvOutcome> {
-        let (reply, rx) = bounded(1);
-        let _ = self.ops_txs[self.shard_for(key)].try_send(RealOp::Get {
-            key: key.to_string(),
-            reply,
-        });
-        rx
+    /// Stops and joins the shard threads, handing back the transport.
+    fn stop_shards(&mut self) -> Option<Runtime> {
+        for tx in &self.inboxes {
+            let _ = tx.send(ShardIn::Stop);
+        }
+        for t in self.threads.drain(..) {
+            let _ = t.join();
+        }
+        self.rt.take()
     }
 
     /// Announces a voluntary departure and stops the process.
     pub fn leave(mut self) {
-        let _ = self.ctl_tx.send(RealCtl::Leave);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
+        if let Some(rt) = self.stop_shards() {
+            rt.leave();
         }
     }
 
     /// Hard-stops the process (a crash, as far as the cluster knows).
-    pub fn shutdown_now(mut self) {
-        let _ = self.ctl_tx.send(RealCtl::Shutdown);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
+    pub fn shutdown_now(self) {
+        drop(self);
     }
 }
 
 impl Drop for KvRuntime {
     fn drop(&mut self) {
-        let _ = self.ctl_tx.try_send(RealCtl::Shutdown);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
+        if let Some(rt) = self.stop_shards() {
+            rt.shutdown_now();
         }
     }
 }
 
-fn worker(
-    rt: Runtime,
-    mut kv: KvNode,
-    ops_rx: Receiver<RealOp>,
-    ctl_rx: Receiver<RealCtl>,
-    mirror: Arc<Mutex<Mirror>>,
-    obs_sample_ms: u64,
-) {
-    let mut out: Vec<KvOut> = Vec::new();
-    let mut replies: DetHashMap<u64, Sender<KvOutcome>> = DetHashMap::default();
-    let start = Instant::now();
-    let mut view_count = 0u64;
-    let mut next_tick = Instant::now();
-    // Metrics timeline: the same delta sampler the simulator runs, on
-    // the wall clock. Disabled (capacity 0, no deadline checks beyond
-    // one branch) when `obs_sample_ms` is 0.
-    let mut timeline = if obs_sample_ms > 0 {
-        Timeline::new(DEFAULT_TIMELINE_CAP)
-    } else {
-        Timeline::new(0)
-    };
-    let mut cursor = TimelinePoint::default();
-    let mut prev_hist = LatencyHist::new();
-    let mut next_sample = Instant::now() + Duration::from_millis(obs_sample_ms.max(1));
-    // If the process starts as an active seed, its one-member view is
-    // already installed — subscribe the data plane immediately.
-    if rt.status() == NodeStatus::Active {
-        let now = 0;
-        kv.on_view(ViewChange::initial(rt.view()).configuration, now, &mut out);
-    }
-    loop {
-        match ctl_rx.try_recv() {
-            Ok(RealCtl::Leave) => {
-                rt.leave();
-                let mut m = mirror.lock();
-                m.status = NodeStatus::Left;
-                return;
-            }
-            Ok(RealCtl::Shutdown) => {
-                rt.shutdown_now();
-                return;
-            }
-            Err(_) => {}
-        }
-        let now = start.elapsed().as_millis() as u64;
-        // Membership + app events.
-        match rt.events().recv_timeout(Duration::from_millis(5)) {
-            Ok(AppEvent::View(vc)) => {
-                view_count += 1;
-                kv.on_view(vc.configuration, now, &mut out);
-            }
-            Ok(AppEvent::Joined(config)) => {
-                kv.on_view(config, now, &mut out);
-            }
-            Ok(AppEvent::App(from, bytes)) => {
-                // Corrupt peer payloads are dropped, like the transport does.
-                if let Ok(msg) = kv::decode(&bytes) {
-                    kv.on_message(from, msg, now, &mut out);
-                }
-            }
-            Ok(AppEvent::Kicked) | Err(_) => {}
-        }
-        // Client submissions, drained as one burst and submitted through
-        // a single outbox flush: ops sharing a leader leave in one app
-        // frame.
-        let mut burst: Vec<RealOp> = Vec::new();
-        while let Ok(op) = ops_rx.try_recv() {
-            burst.push(op);
-        }
-        if !burst.is_empty() {
-            let client_ops: Vec<ClientOp<'_>> = burst
-                .iter()
-                .map(|op| match op {
-                    RealOp::Put { key, val, .. } => ClientOp::Put { key, val },
-                    RealOp::Get { key, .. } => ClientOp::Get { key },
-                })
-                .collect();
-            let reqs = kv.client_ops(&client_ops, now, &mut out);
-            for (req, op) in reqs.into_iter().zip(burst) {
-                let reply = match op {
-                    RealOp::Put { reply, .. } | RealOp::Get { reply, .. } => reply,
-                };
-                replies.insert(req, reply);
-            }
-        }
-        // Timers. The digest snapshot is refreshed here rather than on
-        // every (5 ms) loop pass: hashing the whole store is too heavy
-        // for the idle path, and the converged sweep polls no faster
-        // than this anyway.
-        let mut fresh_digests = None;
-        if Instant::now() >= next_tick {
-            kv.on_tick(now, &mut out);
-            next_tick = Instant::now() + Duration::from_millis(20);
-            fresh_digests = Some(kv.digest_snapshot());
-        }
-        // Dispatch.
-        for item in out.drain(..) {
-            match item {
-                KvOut::Send(to, msg) => {
-                    let mut buf = Vec::with_capacity(kv::encoded_len(&msg));
-                    kv::encode(&msg, &mut buf);
-                    rt.send_app(to, buf);
-                }
-                KvOut::Done(req, outcome) => {
-                    if let Some(reply) = replies.remove(&req) {
-                        let _ = reply.try_send(outcome);
-                    }
-                }
-            }
-        }
-        // Metrics sweep: record the deltas since the previous sweep.
-        // Membership wire counters live on the transport's driver
-        // thread, so the real-driver timeline carries the data plane
-        // (ops, handoff/repair bytes, view changes) — the simulator
-        // fills the network columns.
-        let mut fresh_timeline = false;
-        let mut fresh_shard_point = None;
-        if timeline.enabled() && Instant::now() >= next_sample {
-            let s = *kv.stats();
-            let ops = s.puts_acked + s.gets_ok;
-            let (_, p50, p99) = kv.op_hist().interval_quantiles(&prev_hist);
-            // Feed the admission controller its latency signal, same as
-            // the simulator's metrics sweep.
-            kv.note_interval(p50, p99);
-            let t_ms = start.elapsed().as_millis() as u64;
-            fresh_shard_point = Some(ShardPoint {
-                t_ms,
-                depth: kv.inbox_depth() as u64,
-                ops: ops - cursor.ops,
-            });
-            timeline.push(TimelinePoint {
-                t_ms,
-                msgs: 0,
-                bytes: 0,
-                alerts: 0,
-                view_changes: view_count - cursor.view_changes,
-                ops: ops - cursor.ops,
-                handoff_bytes: s.bytes_moved - cursor.handoff_bytes,
-                repair_bytes: s.repair_bytes - cursor.repair_bytes,
-                p50_ms: p50,
-                p99_ms: p99,
-            });
-            cursor = TimelinePoint {
-                t_ms,
-                msgs: 0,
-                bytes: 0,
-                alerts: 0,
-                view_changes: view_count,
-                ops,
-                handoff_bytes: s.bytes_moved,
-                repair_bytes: s.repair_bytes,
-                p50_ms: 0,
-                p99_ms: 0,
-            };
-            prev_hist = kv.op_hist().clone();
-            next_sample += Duration::from_millis(obs_sample_ms);
-            fresh_timeline = true;
-        }
-        // Publish.
-        {
-            let mut m = mirror.lock();
-            m.status = rt.status();
-            m.view_len = rt.view().len();
-            m.view_count = view_count;
-            m.stats = *kv.stats();
-            m.inbox_depth = kv.inbox_depth();
-            m.client_conns = kv.client_conns();
-            m.quota_dropped = rt.quota_dropped();
-            m.shard_depths[0] = m.inbox_depth as u64;
-            m.shard_ops[0] = m.stats.puts_acked + m.stats.gets_ok;
-            if let Some(d) = fresh_digests {
-                m.digests = d;
-                m.op_hist = kv.op_hist().clone();
-            }
-            if fresh_timeline {
-                m.timeline = timeline.iter_in_order().copied().collect();
-                m.timeline_dropped = timeline.dropped();
-            }
-            if let Some(pt) = fresh_shard_point {
-                push_shard_point(&mut m.shard_series[0], pt);
-            }
-        }
-    }
+// ---------------------------------------------------------------------------
+// The smart client
+// ---------------------------------------------------------------------------
+
+/// A client operation submitted to the client thread.
+struct RealOp {
+    key: String,
+    /// `Some` for puts.
+    val: Option<String>,
+    reply: Sender<KvOutcome>,
 }
 
-/// Appends a shard sample, bounding the series like the timeline ring.
-fn push_shard_point(series: &mut Vec<ShardPoint>, pt: ShardPoint) {
-    if series.len() >= DEFAULT_TIMELINE_CAP {
-        series.remove(0);
-    }
-    series.push(pt);
+/// Input to the client thread.
+enum ClientIn {
+    Frame(Endpoint, KvMsg),
+    Op(RealOp),
+    Stop,
 }
 
-/// A data-plane shard thread: drives one partition-filtered [`KvNode`]
-/// from its sequenced input channel, submits local client ops, ticks
-/// timers, and sends outbound frames through its own transport handle.
-/// Mirrors the unsharded `worker` loop minus the membership plumbing.
-fn shard_worker(
-    mut kv: KvNode,
-    in_rx: Receiver<ShardIn>,
-    ops_rx: Receiver<RealOp>,
-    sender: AppSender,
-    slot: Arc<Mutex<ShardPub>>,
-    start: Instant,
-) {
-    let mut out: Vec<KvOut> = Vec::new();
-    let mut replies: DetHashMap<u64, Sender<KvOutcome>> = DetHashMap::default();
-    let mut next_tick = Instant::now();
-    loop {
-        let now = start.elapsed().as_millis() as u64;
-        match in_rx.recv_timeout(Duration::from_millis(5)) {
-            Ok(ShardIn::View(_seq, cfg)) => kv.on_view(cfg, now, &mut out),
-            Ok(ShardIn::Msg(from, msg)) => kv.on_message(from, msg, now, &mut out),
-            Ok(ShardIn::NoteInterval(p50, p99)) => kv.note_interval(p50, p99),
-            Ok(ShardIn::Stop) | Err(RecvTimeoutError::Disconnected) => return,
-            Err(RecvTimeoutError::Timeout) => {}
-        }
-        // Drain queued inputs before sleeping again: view fanout and
-        // routed frames arrive in bursts.
-        while let Ok(input) = in_rx.try_recv() {
+/// The client thread's plane: the client core plus the reply channel of
+/// every op it has in flight.
+struct ClientPlane {
+    client: Arc<Mutex<KvClient>>,
+    replies: DetHashMap<u64, Sender<KvOutcome>>,
+    burst: Vec<RealOp>,
+}
+
+impl Plane for ClientPlane {
+    type In = ClientIn;
+
+    fn apply(&mut self, batch: &mut Vec<ClientIn>, now: u64, out: &mut Vec<KvOut>) -> bool {
+        let mut client = self.client.lock();
+        for input in batch.drain(..) {
             match input {
-                ShardIn::View(_seq, cfg) => kv.on_view(cfg, now, &mut out),
-                ShardIn::Msg(from, msg) => kv.on_message(from, msg, now, &mut out),
-                ShardIn::NoteInterval(p50, p99) => kv.note_interval(p50, p99),
-                ShardIn::Stop => return,
+                ClientIn::Frame(from, msg) => client.on_message(from, msg, now, out),
+                ClientIn::Op(op) => self.burst.push(op),
+                ClientIn::Stop => return false,
             }
         }
-        // Client submissions, one outbox-coalesced burst per pass.
-        let mut burst: Vec<RealOp> = Vec::new();
-        while let Ok(op) = ops_rx.try_recv() {
-            burst.push(op);
-        }
-        if !burst.is_empty() {
-            let client_ops: Vec<ClientOp<'_>> = burst
+        if !self.burst.is_empty() {
+            // One pipelined burst: ops sharing a leader share a frame.
+            let ops: Vec<ClientOp<'_>> = self
+                .burst
                 .iter()
-                .map(|op| match op {
-                    RealOp::Put { key, val, .. } => ClientOp::Put { key, val },
-                    RealOp::Get { key, .. } => ClientOp::Get { key },
+                .map(|op| match &op.val {
+                    Some(val) => ClientOp::Put { key: &op.key, val },
+                    None => ClientOp::Get { key: &op.key },
                 })
                 .collect();
-            let reqs = kv.client_ops(&client_ops, now, &mut out);
-            for (req, op) in reqs.into_iter().zip(burst) {
-                let reply = match op {
-                    RealOp::Put { reply, .. } | RealOp::Get { reply, .. } => reply,
-                };
-                replies.insert(req, reply);
+            let reqs = client.submit_ops(&ops, now, out);
+            for (req, op) in reqs.into_iter().zip(self.burst.drain(..)) {
+                self.replies.insert(req, op.reply);
             }
         }
-        // Timers + snapshot publication on the digest cadence.
-        if Instant::now() >= next_tick {
-            kv.on_tick(now, &mut out);
-            next_tick = Instant::now() + Duration::from_millis(20);
-            let mut p = slot.lock();
-            p.stats = *kv.stats();
-            p.inbox_depth = kv.inbox_depth();
-            p.client_conns = kv.client_conns();
-            p.digests = kv.digest_snapshot();
-            p.op_hist = kv.op_hist().clone();
-        }
-        for item in out.drain(..) {
-            match item {
-                KvOut::Send(to, msg) => {
-                    let mut buf = Vec::with_capacity(kv::encoded_len(&msg));
-                    kv::encode(&msg, &mut buf);
-                    sender.send_app(to, buf);
-                }
-                KvOut::Done(req, outcome) => {
-                    if let Some(reply) = replies.remove(&req) {
-                        let _ = reply.try_send(outcome);
-                    }
-                }
-            }
+        true
+    }
+
+    fn timers(&mut self, at: Instant, now: u64, out: &mut Vec<KvOut>) -> Instant {
+        self.client.lock().on_tick(now, out);
+        at + HOST_TICK
+    }
+
+    fn done(&mut self, req: u64, outcome: KvOutcome) {
+        if let Some(reply) = self.replies.remove(&req) {
+            let _ = reply.try_send(outcome);
         }
     }
 }
 
-/// The membership plane of a sharded process: owns the transport, fans
-/// sequenced view adoptions out to every shard, splits inbound app
-/// frames by owning shard with [`kv::shard_route`], and merges the
-/// shards' published snapshots into the process-level [`Mirror`] (plus
-/// per-shard depth/ops series on the timeline cadence).
-#[allow(clippy::too_many_arguments)]
-fn membership_worker(
-    rt: Runtime,
-    mut shards: Vec<Shard>,
-    ctl_rx: Receiver<RealCtl>,
-    mirror: Arc<Mutex<Mirror>>,
-    pubs: Vec<Arc<Mutex<ShardPub>>>,
-    partitions: u32,
-    obs_sample_ms: u64,
-    start: Instant,
-) {
-    let w = shards.len();
-    let mut view_count = 0u64;
-    let mut view_seq = 0u64;
-    let mut timeline = if obs_sample_ms > 0 {
-        Timeline::new(DEFAULT_TIMELINE_CAP)
-    } else {
-        Timeline::new(0)
-    };
-    let mut cursor = TimelinePoint::default();
-    let mut shard_ops_cursor = vec![0u64; w];
-    let mut prev_hist = LatencyHist::new();
-    let mut next_sample = Instant::now() + Duration::from_millis(obs_sample_ms.max(1));
-    let mut next_merge = Instant::now();
-    // A seed's one-member view is installed before the shards spawn;
-    // broadcast it as adoption #1 so every shard subscribes immediately.
-    if rt.status() == NodeStatus::Active {
-        view_seq += 1;
-        let cfg = ViewChange::initial(rt.view()).configuration;
-        for s in &shards {
-            let _ = s.tx.send(ShardIn::View(view_seq, Arc::clone(&cfg)));
-        }
-    }
-    loop {
-        match ctl_rx.try_recv() {
-            Ok(RealCtl::Leave) => {
-                stop_shards(&mut shards);
-                rt.leave();
-                mirror.lock().status = NodeStatus::Left;
-                return;
-            }
-            Ok(RealCtl::Shutdown) => {
-                stop_shards(&mut shards);
-                rt.shutdown_now();
-                return;
-            }
-            Err(_) => {}
-        }
-        match rt.events().recv_timeout(Duration::from_millis(5)) {
-            Ok(AppEvent::View(vc)) => {
-                view_count += 1;
-                view_seq += 1;
-                for s in &shards {
-                    let _ = s
-                        .tx
-                        .send(ShardIn::View(view_seq, Arc::clone(&vc.configuration)));
-                }
-            }
-            Ok(AppEvent::Joined(config)) => {
-                view_seq += 1;
-                for s in &shards {
-                    let _ = s.tx.send(ShardIn::View(view_seq, Arc::clone(&config)));
-                }
-            }
-            Ok(AppEvent::App(from, bytes)) => {
-                // Corrupt peer payloads are dropped, like the transport
-                // does. Routed sends block on a full shard inbox — data
-                // frames are never silently dropped here.
-                if let Ok(msg) = kv::decode(&bytes) {
-                    for (idx, part) in kv::shard_route(msg, partitions, w) {
-                        let _ = shards[idx].tx.send(ShardIn::Msg(from, part));
-                    }
-                }
-            }
-            Ok(AppEvent::Kicked) | Err(_) => {}
-        }
-        // Merge + publish on the digest cadence, not every pass: the
-        // shard snapshots only refresh that often anyway.
-        if Instant::now() >= next_merge {
-            next_merge = Instant::now() + Duration::from_millis(20);
-            let mut stats = KvStats::default();
-            let mut inbox_depth = 0usize;
-            let mut client_conns = 0usize;
-            let mut digests: Vec<(u32, PartitionDigest, bool)> = Vec::new();
-            let mut hist = LatencyHist::new();
-            // (depth, cumulative ops) per shard, for the series below.
-            let mut per_shard: Vec<(u64, u64)> = Vec::with_capacity(w);
-            for slot in &pubs {
-                let p = slot.lock();
-                stats.absorb(&p.stats);
-                inbox_depth += p.inbox_depth;
-                client_conns += p.client_conns;
-                digests.extend_from_slice(&p.digests);
-                hist.merge(&p.op_hist);
-                per_shard.push((p.inbox_depth as u64, p.stats.puts_acked + p.stats.gets_ok));
-            }
-            digests.sort_unstable_by_key(|&(p, _, _)| p);
-            let ops = stats.puts_acked + stats.gets_ok;
-            let mut fresh_timeline = false;
-            let mut shard_points: Vec<ShardPoint> = Vec::new();
-            if timeline.enabled() && Instant::now() >= next_sample {
-                let (_, p50, p99) = hist.interval_quantiles(&prev_hist);
-                // Broadcast the merged latency signal so every shard's
-                // admission controller sees the same process-level p99.
-                for s in &shards {
-                    let _ = s.tx.send(ShardIn::NoteInterval(p50, p99));
-                }
-                let t_ms = start.elapsed().as_millis() as u64;
-                timeline.push(TimelinePoint {
-                    t_ms,
-                    msgs: 0,
-                    bytes: 0,
-                    alerts: 0,
-                    view_changes: view_count - cursor.view_changes,
-                    ops: ops - cursor.ops,
-                    handoff_bytes: stats.bytes_moved - cursor.handoff_bytes,
-                    repair_bytes: stats.repair_bytes - cursor.repair_bytes,
-                    p50_ms: p50,
-                    p99_ms: p99,
-                });
-                cursor = TimelinePoint {
-                    t_ms,
-                    msgs: 0,
-                    bytes: 0,
-                    alerts: 0,
-                    view_changes: view_count,
-                    ops,
-                    handoff_bytes: stats.bytes_moved,
-                    repair_bytes: stats.repair_bytes,
-                    p50_ms: 0,
-                    p99_ms: 0,
-                };
-                prev_hist = hist.clone();
-                next_sample += Duration::from_millis(obs_sample_ms);
-                fresh_timeline = true;
-                // Series carry interval deltas, like the timeline.
-                shard_points = per_shard
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &(depth, cum))| {
-                        let delta = cum.saturating_sub(shard_ops_cursor[i]);
-                        shard_ops_cursor[i] = cum;
-                        ShardPoint {
-                            t_ms,
-                            depth,
-                            ops: delta,
-                        }
-                    })
-                    .collect();
-            }
-            let mut m = mirror.lock();
-            m.status = rt.status();
-            m.view_len = rt.view().len();
-            m.view_count = view_count;
-            m.stats = stats;
-            m.inbox_depth = inbox_depth;
-            m.client_conns = client_conns;
-            m.quota_dropped = rt.quota_dropped();
-            m.digests = digests;
-            m.op_hist = hist;
-            for (i, &(depth, ops)) in per_shard.iter().enumerate() {
-                m.shard_depths[i] = depth;
-                m.shard_ops[i] = ops;
-            }
-            if fresh_timeline {
-                m.timeline = timeline.iter_in_order().copied().collect();
-                m.timeline_dropped = timeline.dropped();
-                for (i, pt) in shard_points.into_iter().enumerate() {
-                    push_shard_point(&mut m.shard_series[i], pt);
-                }
-            }
-        }
-    }
-}
-
-/// A smart client hosted on the real transport: a [`KvClient`] state
-/// machine driven from an [`AppPeer`]'s event stream on a dedicated
-/// worker thread. The `AppPeer` keeps one pooled TCP stream per
-/// destination, so steady-state traffic holds exactly one connection per
-/// partition leader — the per-leader connection pooling the client plane
-/// promises. The client never joins the membership; it learns views
-/// purely from `Sub`/`View` push frames.
+/// A smart client hosted on the real transport: a [`KvClient`] driven by
+/// the host loop on one thread, fed by an [`AppPeer`]'s reader threads.
+/// The `AppPeer` keeps one pooled TCP stream per destination, so
+/// steady-state traffic holds exactly one connection per partition
+/// leader — the per-leader connection pooling the client plane promises.
+/// The client never joins the membership; it learns views purely from
+/// `Sub`/`View` push frames.
 pub struct KvClientRuntime {
     addr: Endpoint,
-    ops_tx: Sender<RealOp>,
-    ctl_tx: Sender<RealCtl>,
-    published: Arc<Mutex<(ClientStats, LatencyHist, Option<u64>)>>,
-    handle: Option<JoinHandle<()>>,
+    /// The transport; taken only when the client stops.
+    peer: Option<AppPeer>,
+    inbox: Sender<ClientIn>,
+    client: Arc<Mutex<KvClient>>,
+    thread: Option<JoinHandle<()>>,
 }
 
 impl KvClientRuntime {
-    /// Starts a client worker subscribing through `seeds` (cluster
-    /// listen addresses), with placement spec `route` (must match the
+    /// Starts a client subscribing through `seeds` (cluster listen
+    /// addresses), with placement spec `route` (must match the
     /// cluster's), an in-flight window, and a per-op deadline.
     pub fn start(
         seeds: Vec<Endpoint>,
@@ -992,26 +708,37 @@ impl KvClientRuntime {
         window: usize,
         op_timeout_ms: u64,
     ) -> std::io::Result<KvClientRuntime> {
-        let peer = AppPeer::start(Endpoint::new("127.0.0.1", 0))?;
+        let (inbox, rx) = bounded::<ClientIn>(INBOX_DEPTH);
+        let frames = inbox.clone();
+        let peer = AppPeer::start(Endpoint::new("127.0.0.1", 0), move |from, bytes| {
+            if let Ok(msg) = kv::decode(&bytes) {
+                // Dropped when full, like a shard's frames: a lost
+                // verdict fails its op at the op's deadline, as any loss
+                // on the wire does.
+                let _ = frames.try_send(ClientIn::Frame(from, msg));
+            }
+        })?;
         let addr = *peer.addr();
-        let client = KvClient::new(addr, route, seeds, window, op_timeout_ms);
-        let (ops_tx, ops_rx) = bounded::<RealOp>(16 * 1024);
-        let (ctl_tx, ctl_rx) = bounded::<RealCtl>(16);
-        let published = Arc::new(Mutex::new((
-            ClientStats::default(),
-            LatencyHist::new(),
-            None,
+        let client = Arc::new(Mutex::new(KvClient::new(
+            addr,
+            route,
+            seeds,
+            window,
+            op_timeout_ms,
         )));
-        let worker_pub = Arc::clone(&published);
-        let handle = std::thread::spawn(move || {
-            client_worker(peer, client, ops_rx, ctl_rx, worker_pub);
-        });
+        let plane = ClientPlane {
+            client: Arc::clone(&client),
+            replies: DetHashMap::default(),
+            burst: Vec::new(),
+        };
+        let sender = peer.app_sender();
+        let thread = std::thread::spawn(move || host_loop(plane, rx, sender, Instant::now()));
         Ok(KvClientRuntime {
             addr,
-            ops_tx,
-            ctl_tx,
-            published,
-            handle: Some(handle),
+            peer: Some(peer),
+            inbox,
+            client,
+            thread: Some(thread),
         })
     }
 
@@ -1020,128 +747,56 @@ impl KvClientRuntime {
         self.addr
     }
 
-    /// Latest published client-observed counters.
+    /// Client-observed counters.
     pub fn stats(&self) -> ClientStats {
-        self.published.lock().0
+        *self.client.lock().stats()
     }
 
-    /// Latest published client-observed op-latency histogram (ms).
+    /// Client-observed op-latency histogram (ms).
     pub fn op_hist(&self) -> LatencyHist {
-        self.published.lock().1.clone()
+        self.client.lock().op_hist().clone()
     }
 
     /// The adopted view's sequence, once the first push landed.
     pub fn view_seq(&self) -> Option<u64> {
-        self.published.lock().2
+        self.client.lock().view_seq()
+    }
+
+    fn submit(&self, key: &str, val: Option<&str>) -> Receiver<KvOutcome> {
+        let (reply, rx) = bounded(1);
+        let _ = self.inbox.try_send(ClientIn::Op(RealOp {
+            key: key.to_string(),
+            val: val.map(str::to_string),
+            reply,
+        }));
+        rx
     }
 
     /// Begins a write through the smart client; the outcome arrives on
-    /// the returned channel.
+    /// the returned channel (dropped channel = op abandoned).
     pub fn begin_put(&self, key: &str, val: &str) -> Receiver<KvOutcome> {
-        let (reply, rx) = bounded(1);
-        let _ = self.ops_tx.try_send(RealOp::Put {
-            key: key.to_string(),
-            val: val.to_string(),
-            reply,
-        });
-        rx
+        self.submit(key, Some(val))
     }
 
     /// Begins a read through the smart client.
     pub fn begin_get(&self, key: &str) -> Receiver<KvOutcome> {
-        let (reply, rx) = bounded(1);
-        let _ = self.ops_tx.try_send(RealOp::Get {
-            key: key.to_string(),
-            reply,
-        });
-        rx
+        self.submit(key, None)
     }
 
-    /// Stops the worker and the peer's sockets.
-    pub fn shutdown_now(mut self) {
-        let _ = self.ctl_tx.send(RealCtl::Shutdown);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
+    /// Stops the client thread and the peer's sockets.
+    pub fn shutdown_now(self) {
+        drop(self);
     }
 }
 
 impl Drop for KvClientRuntime {
     fn drop(&mut self) {
-        let _ = self.ctl_tx.try_send(RealCtl::Shutdown);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
+        let _ = self.inbox.send(ClientIn::Stop);
+        if let Some(t) = self.thread.take() {
+            let _ = t.join();
         }
-    }
-}
-
-fn client_worker(
-    peer: AppPeer,
-    mut client: KvClient,
-    ops_rx: Receiver<RealOp>,
-    ctl_rx: Receiver<RealCtl>,
-    published: Arc<Mutex<(ClientStats, LatencyHist, Option<u64>)>>,
-) {
-    let mut out: Vec<KvOut> = Vec::new();
-    let mut replies: DetHashMap<u64, Sender<KvOutcome>> = DetHashMap::default();
-    let start = Instant::now();
-    let mut next_tick = Instant::now();
-    loop {
-        if ctl_rx.try_recv().is_ok() {
+        if let Some(peer) = self.peer.take() {
             peer.shutdown_now();
-            return;
-        }
-        let now = start.elapsed().as_millis() as u64;
-        // Inbound view pushes and verdicts.
-        if let Ok((from, bytes)) = peer.events().recv_timeout(Duration::from_millis(5)) {
-            if let Ok(msg) = kv::decode(&bytes) {
-                client.on_message(from, msg, now, &mut out);
-            }
-        }
-        // Client submissions, one pipelined burst per pass.
-        let mut burst: Vec<RealOp> = Vec::new();
-        while let Ok(op) = ops_rx.try_recv() {
-            burst.push(op);
-        }
-        if !burst.is_empty() {
-            let client_ops: Vec<ClientOp<'_>> = burst
-                .iter()
-                .map(|op| match op {
-                    RealOp::Put { key, val, .. } => ClientOp::Put { key, val },
-                    RealOp::Get { key, .. } => ClientOp::Get { key },
-                })
-                .collect();
-            let reqs = client.submit_ops(&client_ops, now, &mut out);
-            for (req, op) in reqs.into_iter().zip(burst) {
-                let reply = match op {
-                    RealOp::Put { reply, .. } | RealOp::Get { reply, .. } => reply,
-                };
-                replies.insert(req, reply);
-            }
-        }
-        if Instant::now() >= next_tick {
-            client.on_tick(now, &mut out);
-            next_tick = Instant::now() + Duration::from_millis(20);
-        }
-        for item in out.drain(..) {
-            match item {
-                KvOut::Send(to, msg) => {
-                    let mut buf = Vec::with_capacity(kv::encoded_len(&msg));
-                    kv::encode(&msg, &mut buf);
-                    peer.send_app(to, buf);
-                }
-                KvOut::Done(req, outcome) => {
-                    if let Some(reply) = replies.remove(&req) {
-                        let _ = reply.try_send(outcome);
-                    }
-                }
-            }
-        }
-        {
-            let mut p = published.lock();
-            p.0 = *client.stats();
-            p.1 = client.op_hist().clone();
-            p.2 = client.view_seq();
         }
     }
 }
@@ -1149,6 +804,7 @@ fn client_worker(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::placement::{partition_of, shard_of, Placement};
 
     fn fast_settings() -> Settings {
         Settings {
@@ -1181,6 +837,108 @@ mod tests {
         false
     }
 
+    /// A smart client subscribed through `seeds`, holding a view.
+    fn client_via(seeds: Vec<Endpoint>) -> KvClientRuntime {
+        let client = KvClientRuntime::start(seeds, spec(), 64, 5_000).unwrap();
+        assert!(
+            wait_for(|| client.view_seq().is_some(), Duration::from_secs(10)),
+            "client must adopt a pushed view"
+        );
+        client
+    }
+
+    /// A bare test endpoint that sends ops as raw `CPut`/`CGet` frames to
+    /// a chosen process, which then coordinates them: a key led by
+    /// another node is forwarded to its leader and the leader's ack
+    /// routed back to the issuing shard (`req % W`), the path a smart
+    /// client's attempt 0 skips.
+    struct Injector {
+        peer: AppPeer,
+        verdicts: Receiver<(u64, KvOutcome)>,
+        next_req: std::cell::Cell<u64>,
+    }
+
+    impl Injector {
+        fn start() -> Injector {
+            fn collect(msg: KvMsg, tx: &Sender<(u64, KvOutcome)>) {
+                match msg {
+                    KvMsg::Batch(msgs) => msgs.into_iter().for_each(|m| collect(m, tx)),
+                    KvMsg::CResp {
+                        req,
+                        code,
+                        val,
+                        version,
+                    } => match KvOutcome::from_cresp(code, val, version) {
+                        Ok(outcome) => {
+                            let _ = tx.send((req, outcome));
+                        }
+                        Err(e) => panic!("no op is shed here: {e}"),
+                    },
+                    _ => {}
+                }
+            }
+            let (tx, verdicts) = bounded(1024);
+            let peer = AppPeer::start(Endpoint::new("127.0.0.1", 0), move |_, bytes| {
+                if let Ok(msg) = kv::decode(&bytes) {
+                    collect(msg, &tx);
+                }
+            })
+            .unwrap();
+            Injector {
+                peer,
+                verdicts,
+                next_req: std::cell::Cell::new(0),
+            }
+        }
+
+        /// Submits `op` to `via` and waits up to 5 s for its verdict.
+        fn call(&self, via: Endpoint, op: ClientOp<'_>) -> Option<KvOutcome> {
+            let req = self.next_req.get() + 1;
+            self.next_req.set(req);
+            let msg = match op {
+                ClientOp::Put { key, val } => KvMsg::CPut {
+                    req,
+                    key: key.into(),
+                    val: val.into(),
+                },
+                ClientOp::Get { key } => KvMsg::CGet {
+                    req,
+                    key: key.into(),
+                    floor: 0,
+                },
+            };
+            let mut buf = Vec::new();
+            kv::encode(&msg, &mut buf);
+            self.peer.send_app(via, buf);
+            let deadline = Instant::now() + Duration::from_secs(5);
+            loop {
+                let left = deadline.saturating_duration_since(Instant::now());
+                match self.verdicts.recv_timeout(left) {
+                    Ok((r, outcome)) if r == req => return Some(outcome),
+                    Ok(_) => {} // A late verdict for an earlier op.
+                    Err(_) => return None,
+                }
+            }
+        }
+
+        fn put(&self, via: Endpoint, key: &str, val: &str) -> Option<KvOutcome> {
+            self.call(via, ClientOp::Put { key, val })
+        }
+
+        fn get(&self, via: Endpoint, key: &str) -> Option<KvOutcome> {
+            self.call(via, ClientOp::Get { key })
+        }
+    }
+
+    /// The endpoint of the node leading `key`'s partition in `rt`'s view,
+    /// and the shard (of `shards`) that owns the partition.
+    fn leader_and_shard(rt: &KvRuntime, key: &str, shards: usize) -> (Endpoint, usize) {
+        let config = rt.rt().view();
+        let partition = partition_of(key, spec().partitions);
+        let leader = Placement::compute(&config, &spec()).leader(partition) as usize;
+        (config.member_at(leader).addr, shard_of(partition, shards))
+    }
+
     #[test]
     fn real_timeline_samples_ops_and_introspection_reports_them() {
         // The env gate is read once at startup; set it before the
@@ -1204,8 +962,9 @@ mod tests {
             || seed.status() == NodeStatus::Active,
             Duration::from_secs(10)
         ));
+        let client = client_via(vec![seed.addr()]);
         for i in 0..8 {
-            let rx = seed.begin_put(&format!("tk{i}"), "tv");
+            let rx = client.begin_put(&format!("tk{i}"), "tv");
             assert!(matches!(
                 rx.recv_timeout(Duration::from_secs(5)),
                 Ok(KvOutcome::Acked { .. })
@@ -1236,6 +995,7 @@ mod tests {
         assert!(body.contains("\"shed_ops\":0"), "{body:?}");
         assert!(body.contains("\"client_conns\":"), "{body:?}");
         assert!(body.contains("\"quota_dropped\":0"), "{body:?}");
+        client.shutdown_now();
         seed.shutdown_now();
     }
 
@@ -1268,11 +1028,7 @@ mod tests {
             ),
             "2-node cluster must form"
         );
-        let client = KvClientRuntime::start(vec![seed_addr], spec(), 64, 5_000).unwrap();
-        assert!(
-            wait_for(|| client.view_seq().is_some(), Duration::from_secs(10)),
-            "client must adopt a pushed view"
-        );
+        let client = client_via(vec![seed_addr]);
         for i in 0..10 {
             let rx = client.begin_put(&format!("sk{i}"), &format!("sv{i}"));
             assert!(
@@ -1340,14 +1096,21 @@ mod tests {
             seed.view_len()
         );
 
-        // Write through different coordinators, read through others.
+        // Write through different coordinators, each time a key some
+        // other node leads, so every put is forwarded; read through
+        // another coordinator.
+        let inject = Injector::start();
         let mut acked = Vec::new();
+        let mut candidates = (0..).map(|n| format!("rk{n}"));
         for i in 0..12 {
-            let via = if i % 2 == 0 { &seed } else { &joiners[i % 3] };
-            let rx = via.begin_put(&format!("rk{i}"), &format!("rv{i}"));
-            match rx.recv_timeout(Duration::from_secs(5)) {
-                Ok(KvOutcome::Acked { version }) => acked.push((format!("rk{i}"), version)),
-                other => panic!("put {i} failed: {other:?}"),
+            let via = if i % 2 == 0 { seed_addr } else { joiners[i % 3].addr() };
+            let key = candidates
+                .by_ref()
+                .find(|k| leader_and_shard(&seed, k, 1).0 != via)
+                .unwrap();
+            match inject.put(via, &key, &format!("rv{i}")) {
+                Some(KvOutcome::Acked { version }) => acked.push((key, version)),
+                other => panic!("put {i} ({key}) failed: {other:?}"),
             }
         }
 
@@ -1366,9 +1129,8 @@ mod tests {
         for (key, version) in &acked {
             let got = (|| {
                 for _ in 0..40 {
-                    let rx = joiners[0].begin_get(key);
-                    match rx.recv_timeout(Duration::from_secs(5)) {
-                        Ok(KvOutcome::Found { val, version: v }) => return Some((val, v)),
+                    match inject.get(joiners[0].addr(), key) {
+                        Some(KvOutcome::Found { val, version: v }) => return Some((val, v)),
                         _ => std::thread::sleep(Duration::from_millis(250)),
                     }
                 }
@@ -1390,6 +1152,7 @@ mod tests {
         }
         let stats = seed.stats();
         assert!(stats.rebalances >= 1, "seed must have rebalanced: {stats:?}");
+        inject.peer.shutdown_now();
         for j in joiners {
             j.shutdown_now();
         }
@@ -1446,23 +1209,39 @@ mod tests {
             ),
             "2-node sharded cluster must form"
         );
-        // Writes through both coordinators, reads through the other.
-        for i in 0..16 {
-            let via = if i % 2 == 0 { &seed } else { &joiner };
-            let rx = via.begin_put(&format!("shk{i}"), &format!("shv{i}"));
+        // Every op goes through the process that does not lead its key,
+        // eight keys per owning shard: both shards forward to the other
+        // process and each ack must find its way back to the issuing
+        // shard. Which process coordinates which shard's keys depends on
+        // this run's node ids.
+        let inject = Injector::start();
+        let mut per_shard = [0; 2];
+        let mut keys = Vec::new();
+        for n in 0.. {
+            if keys.len() == 16 {
+                break;
+            }
+            let key = format!("shk{n}");
+            let (leader, shard) = leader_and_shard(&seed, &key, 2);
+            if per_shard[shard] < 8 {
+                per_shard[shard] += 1;
+                let via = if leader == seed_addr { joiner.addr() } else { seed_addr };
+                keys.push((key, via));
+            }
+        }
+        for (i, (key, via)) in keys.iter().enumerate() {
             assert!(
                 matches!(
-                    rx.recv_timeout(Duration::from_secs(5)),
-                    Ok(KvOutcome::Acked { .. })
+                    inject.put(*via, key, &format!("shv{i}")),
+                    Some(KvOutcome::Acked { .. })
                 ),
-                "sharded put {i} must ack"
+                "sharded put {i} ({key}) must ack"
             );
         }
-        for i in 0..16 {
-            let rx = joiner.begin_get(&format!("shk{i}"));
-            match rx.recv_timeout(Duration::from_secs(5)) {
-                Ok(KvOutcome::Found { val, .. }) => assert_eq!(val, format!("shv{i}")),
-                other => panic!("sharded get {i} failed: {other:?}"),
+        for (i, (key, via)) in keys.iter().enumerate() {
+            match inject.get(*via, key) {
+                Some(KvOutcome::Found { val, .. }) => assert_eq!(val, format!("shv{i}")),
+                other => panic!("sharded get {i} ({key}) failed: {other:?}"),
             }
         }
         // Merged stats must cover every acked op across both processes.
@@ -1501,6 +1280,7 @@ mod tests {
             ),
             "sharded digest snapshot must merge without duplicates"
         );
+        inject.peer.shutdown_now();
         joiner.shutdown_now();
         seed.shutdown_now();
     }

@@ -61,8 +61,8 @@ pub struct KvSimActor {
     /// Protocol events recorded for measurements (same shape as the
     /// membership-only actor's log). Always empty for clients.
     pub log: ActorLog,
-    /// Completed client operations issued through this process, drained
-    /// by the scenario driver.
+    /// Completed ops submitted through this client actor (always empty
+    /// on members), drained by the scenario driver.
     pub completed: Vec<(u64, KvOutcome)>,
     actions: Vec<Action>,
     kv_out: Vec<KvOut>,
@@ -189,48 +189,6 @@ impl KvSimActor {
             Plane::Client(_) => panic!("client actor cannot leave the membership"),
         }
         self.apply_actions(actions, now, out);
-    }
-
-    /// Starts a client write with this process as coordinator (the
-    /// legacy via-coordinator path); the result lands in
-    /// [`KvSimActor::completed`].
-    pub fn begin_put(&mut self, key: &str, val: &str, now: u64, out: &mut Outbox<RouteMsg>) -> u64 {
-        let Plane::Node { kv, .. } = &mut self.plane else {
-            panic!("begin_put on a client actor");
-        };
-        let mut kv_out = std::mem::take(&mut self.kv_out);
-        let req = kv.client_put(key, val, now, &mut kv_out);
-        self.drain_kv(kv_out, out);
-        req
-    }
-
-    /// Starts a client read with this process as coordinator.
-    pub fn begin_get(&mut self, key: &str, now: u64, out: &mut Outbox<RouteMsg>) -> u64 {
-        let Plane::Node { kv, .. } = &mut self.plane else {
-            panic!("begin_get on a client actor");
-        };
-        let mut kv_out = std::mem::take(&mut self.kv_out);
-        let req = kv.client_get(key, now, &mut kv_out);
-        self.drain_kv(kv_out, out);
-        req
-    }
-
-    /// Starts a burst of client operations with one outbox flush (ops to
-    /// one leader share a wire frame); results land in
-    /// [`KvSimActor::completed`].
-    pub fn begin_ops(
-        &mut self,
-        ops: &[ClientOp<'_>],
-        now: u64,
-        out: &mut Outbox<RouteMsg>,
-    ) -> Vec<u64> {
-        let Plane::Node { kv, .. } = &mut self.plane else {
-            panic!("begin_ops on a client actor");
-        };
-        let mut kv_out = std::mem::take(&mut self.kv_out);
-        let reqs = kv.client_ops(ops, now, &mut kv_out);
-        self.drain_kv(kv_out, out);
-        reqs
     }
 
     fn drain_kv(&mut self, mut kv_out: Vec<KvOut>, out: &mut Outbox<RouteMsg>) {
@@ -680,30 +638,45 @@ mod tests {
         seen > 0
     }
 
-    /// Issues a put via actor `via` and runs until it completes.
+    /// Adds one view-blind client per member, pinned to that member as
+    /// its coordinator (`KvClient::with_via_seed`), so a test can route
+    /// an op through any chosen process.
+    fn pin_clients(mut sim: Simulation<KvSimActor>, members: usize) -> Simulation<KvSimActor> {
+        for i in 0..members {
+            let ep = client_endpoint(i);
+            let client = KvClient::new(ep, spec(), vec![sim_member(i).addr], 64, 2_500)
+                .with_via_seed(true);
+            sim.add_actor(ep, KvSimActor::new_client(client));
+        }
+        sim
+    }
+
+    /// Issues a put via member `via` (through its pinned client) and runs
+    /// until it completes.
     fn put(sim: &mut Simulation<KvSimActor>, via: usize, key: &str, val: &str) -> KvOutcome {
-        let now = sim.now();
-        let req = sim.with_actor(via, |a, out| a.begin_put(key, val, now, out));
-        run_op(sim, via, req)
+        run_op(sim, via, ClientOp::Put { key, val })
     }
 
     fn get(sim: &mut Simulation<KvSimActor>, via: usize, key: &str) -> KvOutcome {
-        let now = sim.now();
-        let req = sim.with_actor(via, |a, out| a.begin_get(key, now, out));
-        run_op(sim, via, req)
+        run_op(sim, via, ClientOp::Get { key })
     }
 
-    fn run_op(sim: &mut Simulation<KvSimActor>, via: usize, req: u64) -> KvOutcome {
+    fn run_op(sim: &mut Simulation<KvSimActor>, via: usize, op: ClientOp<'_>) -> KvOutcome {
+        let client = (0..sim.len())
+            .find(|&i| *sim.addr_of(i) == client_endpoint(via))
+            .expect("pin_clients added a client per member");
+        let now = sim.now();
+        let req = sim.with_actor(client, |a, out| a.client_submit_ops(&[op], now, out))[0];
         let deadline = sim.now() + 5_000;
         while sim.now() < deadline {
             sim.run_until(sim.now() + 100);
             if let Some(pos) = sim
-                .actor(via)
+                .actor(client)
                 .completed
                 .iter()
                 .position(|(r, _)| *r == req)
             {
-                return sim.actor_mut(via).completed.swap_remove(pos).1;
+                return sim.actor_mut(client).completed.swap_remove(pos).1;
             }
         }
         panic!("op {req} via {via} never completed");
@@ -711,10 +684,13 @@ mod tests {
 
     #[test]
     fn static_kv_cluster_serves_puts_and_gets() {
-        let mut sim = KvClusterBuilder::new(8, spec())
-            .settings(quick_settings())
-            .seed(21)
-            .build_static();
+        let mut sim = pin_clients(
+            KvClusterBuilder::new(8, spec())
+                .settings(quick_settings())
+                .seed(21)
+                .build_static(),
+            8,
+        );
         sim.run_until(1_000);
         for i in 0..10 {
             let outcome = put(&mut sim, i % 8, &format!("key-{i}"), &format!("val-{i}"));
@@ -732,10 +708,13 @@ mod tests {
 
     #[test]
     fn crash_rebalances_and_acked_writes_survive() {
-        let mut sim = KvClusterBuilder::new(10, spec())
-            .settings(quick_settings())
-            .seed(22)
-            .build_static();
+        let mut sim = pin_clients(
+            KvClusterBuilder::new(10, spec())
+                .settings(quick_settings())
+                .seed(22)
+                .build_static(),
+            10,
+        );
         sim.run_until(1_000);
         let mut acked = Vec::new();
         for i in 0..24 {
@@ -777,10 +756,13 @@ mod tests {
 
     #[test]
     fn bootstrap_kv_cluster_comes_up_through_joins() {
-        let mut sim = KvClusterBuilder::new(6, spec())
-            .settings(quick_settings())
-            .seed(23)
-            .build_bootstrap();
+        let mut sim = pin_clients(
+            KvClusterBuilder::new(6, spec())
+                .settings(quick_settings())
+                .seed(23)
+                .build_bootstrap(),
+            6,
+        );
         let t = sim.run_until_pred(240_000, |s| all_report(s, 6));
         assert!(t.is_some(), "bootstrap must converge");
         sim.run_until(sim.now() + 10_000);
@@ -796,14 +778,17 @@ mod tests {
     #[test]
     fn kv_timeline_tracks_ops_and_is_thread_stable() {
         let run = |threads: usize| {
-            let mut sim = KvClusterBuilder::new(6, spec())
-                .settings(Settings {
-                    obs_sample_ms: 1_000,
-                    threads,
-                    ..quick_settings()
-                })
-                .seed(41)
-                .build_static();
+            let mut sim = pin_clients(
+                KvClusterBuilder::new(6, spec())
+                    .settings(Settings {
+                        obs_sample_ms: 1_000,
+                        threads,
+                        ..quick_settings()
+                    })
+                    .seed(41)
+                    .build_static(),
+                6,
+            );
             sim.run_until(1_000);
             for i in 0..12 {
                 put(&mut sim, i % 6, &format!("k{i}"), "v");
@@ -894,10 +879,13 @@ mod tests {
     #[test]
     fn same_seed_same_trace() {
         let run = || {
-            let mut sim = KvClusterBuilder::new(6, spec())
-                .settings(quick_settings())
-                .seed(31)
-                .build_static();
+            let mut sim = pin_clients(
+                KvClusterBuilder::new(6, spec())
+                    .settings(quick_settings())
+                    .seed(31)
+                    .build_static(),
+                6,
+            );
             sim.run_until(1_000);
             for i in 0..8 {
                 put(&mut sim, i % 6, &format!("k{i}"), "v");

@@ -5,7 +5,8 @@
 //! observationally identical to the same mesh running the unsharded
 //! single-`KvNode` oracle. Identical per-op outcomes, identical merged
 //! partition digests on every surviving host, and no acked write lost,
-//! for the same churn script at `W ∈ {1, 2, 4}`.
+//! for the same churn script at `W ∈ {1, 2, 4}`. Ops enter as the
+//! `CPut`/`CGet` frames a smart client sends, answered with `CResp`.
 //!
 //! This is the safety net under `real.rs`: the sharded runtime is just
 //! this harness with threads and sockets instead of a synchronous pump,
@@ -21,8 +22,8 @@ use rapid_core::config::{Configuration, Member};
 use rapid_core::id::{Endpoint, NodeId};
 use rapid_core::membership::Proposal;
 use rapid_route::{
-    partition_of, shard_of, shard_route, KvNode, KvOut, KvOutcome, PartitionDigest,
-    PlacementConfig,
+    shard_of, shard_route, ClientOp, KvMsg, KvNode, KvOut, KvOutcome,
+    PartitionDigest, PlacementConfig,
 };
 
 fn members(n: usize) -> Vec<Member> {
@@ -36,6 +37,33 @@ fn members(n: usize) -> Vec<Member> {
         .collect()
 }
 
+/// The endpoint the harness's test client submits ops from.
+fn test_client() -> Endpoint {
+    Endpoint::new("se-client", 4300)
+}
+
+/// Appends the outcome of every verdict in `msg` (a `CResp` or a batch
+/// of them) to `done`, tagged with the answering host.
+fn verdicts(host: usize, msg: KvMsg, done: &mut Vec<(usize, u64, KvOutcome)>) {
+    match msg {
+        KvMsg::Batch(msgs) => {
+            for m in msgs {
+                verdicts(host, m, done);
+            }
+        }
+        KvMsg::CResp {
+            req,
+            code,
+            val,
+            version,
+        } => match KvOutcome::from_cresp(code, val, version) {
+            Ok(outcome) => done.push((host, req, outcome)),
+            Err(e) => panic!("no op is shed here: {e}"),
+        },
+        other => panic!("nodes send clients only verdicts here, got {other:?}"),
+    }
+}
+
 /// A mesh of `n` hosts, each hosting `w` KV shards, with synchronous
 /// message delivery. Crashed hosts silently eat every frame, exactly
 /// like the unsharded `Mesh` harness in `kv.rs`.
@@ -44,6 +72,8 @@ struct ShardedMesh {
     config: Arc<Configuration>,
     partitions: u32,
     crashed: Vec<bool>,
+    /// Last request id the test client used.
+    last_creq: u64,
 }
 
 impl ShardedMesh {
@@ -70,7 +100,39 @@ impl ShardedMesh {
             config,
             partitions: spec.partitions,
             crashed: vec![false; n],
+            last_creq: 0,
         }
+    }
+
+    /// Delivers `op` to `host` as the frame a smart client sends —
+    /// through [`shard_route`], like every inbound frame — and pumps to
+    /// quiescence. Returns the client request id and every completion.
+    fn submit(
+        &mut self,
+        host: usize,
+        op: ClientOp<'_>,
+        now: u64,
+    ) -> (u64, Vec<(usize, u64, KvOutcome)>) {
+        self.last_creq += 1;
+        let req = self.last_creq;
+        let msg = match op {
+            ClientOp::Put { key, val } => KvMsg::CPut {
+                req,
+                key: key.into(),
+                val: val.into(),
+            },
+            ClientOp::Get { key } => KvMsg::CGet {
+                req,
+                key: key.into(),
+                floor: 0,
+            },
+        };
+        let w = self.nodes[host].len();
+        let mut out = Vec::new();
+        for (s, sub) in shard_route(msg, self.partitions, w) {
+            self.nodes[host][s].on_message(test_client(), sub, now, &mut out);
+        }
+        (req, self.pump(host, out, now))
     }
 
     fn addr(&self, idx: usize) -> Endpoint {
@@ -85,9 +147,9 @@ impl ShardedMesh {
     }
 
     /// Pumps to quiescence. Every inbound frame passes through
-    /// [`shard_route`] — the same dispatch the real membership worker
-    /// performs — before reaching a shard. Returns completed client
-    /// operations as `(host, req, outcome)`.
+    /// [`shard_route`] — the same dispatch the real runtime's sink
+    /// performs — before reaching a shard. Returns the verdicts the test
+    /// client received as `(answering host, req, outcome)`.
     fn pump(
         &mut self,
         origin: usize,
@@ -103,7 +165,10 @@ impl ShardedMesh {
             hops += 1;
             assert!(hops < 100_000, "message storm");
             match item {
-                KvOut::Done(req, outcome) => done.push((self.idx_of(from), req, outcome)),
+                KvOut::Send(to, msg) if to == test_client() => {
+                    verdicts(self.idx_of(from), msg, &mut done)
+                }
+                KvOut::Done(..) => unreachable!("nodes answer clients on the wire"),
                 KvOut::Send(to, msg) => {
                     let idx = self.idx_of(to);
                     if self.crashed[idx] {
@@ -160,7 +225,7 @@ impl ShardedMesh {
     }
 
     /// Per-host digest, merged across shards and sorted by partition —
-    /// the same merge the membership worker publishes. Panics if two
+    /// the same merge `KvRuntime::digest_snapshot` reads. Panics if two
     /// shards ever claim the same partition.
     fn merged_digest(&self, host: usize) -> Vec<(u32, PartitionDigest, bool)> {
         let mut all: Vec<(u32, PartitionDigest, bool)> = self.nodes[host]
@@ -227,15 +292,14 @@ fn run_script(w: usize, n: usize, spec: PlacementConfig, ops: &[Op], cut: usize,
             coord = (coord + 1) % n;
         }
         let key = format!("user:{}", op.key);
-        let shard = shard_of(partition_of(&key, mesh.partitions), mesh.nodes[coord].len());
-        let mut out = Vec::new();
-        let req = if op.is_put {
-            mesh.nodes[coord][shard].client_put(&key, &format!("v{op_idx}"), now, &mut out)
+        let val = format!("v{op_idx}");
+        let client_op = if op.is_put {
+            ClientOp::Put { key: &key, val: &val }
         } else {
-            mesh.nodes[coord][shard].client_get(&key, now, &mut out)
+            ClientOp::Get { key: &key }
         };
+        let (req, results) = mesh.submit(coord, client_op, now);
         pending.insert((coord, req), op_idx);
-        let results = mesh.pump(coord, out, now);
         for (host, r, outcome) in results {
             if let Some(&idx) = pending.get(&(host, r)) {
                 assert!(outcomes[idx].is_none(), "op {idx} completed twice");
@@ -287,10 +351,7 @@ fn run_script(w: usize, n: usize, spec: PlacementConfig, ops: &[Op], cut: usize,
     let reader = (0..n).find(|&i| !mesh.crashed[i]).expect("someone survives");
     let mut sweep = Vec::new();
     for (key, (val, version)) in &ledger {
-        let shard = shard_of(partition_of(key, mesh.partitions), mesh.nodes[reader].len());
-        let mut out = Vec::new();
-        let req = mesh.nodes[reader][shard].client_get(key, 20_000, &mut out);
-        let results = mesh.pump(reader, out, 20_000);
+        let (req, results) = mesh.submit(reader, ClientOp::Get { key }, 20_000);
         let outcome = results
             .into_iter()
             .find_map(|(host, r, o)| (host == reader && r == req).then_some(o))
@@ -356,10 +417,7 @@ fn partition_to_shard_assignment_survives_view_changes() {
     // Seed every partition with data so digests are non-trivial.
     for k in 0..64usize {
         let key = format!("user:{k}");
-        let shard = shard_of(partition_of(&key, spec.partitions), w);
-        let mut out = Vec::new();
-        mesh.nodes[0][shard].client_put(&key, "x", 0, &mut out);
-        mesh.pump(0, out, 0);
+        mesh.submit(0, ClientOp::Put { key: &key, val: "x" }, 0);
     }
 
     let owner_of = |mesh: &ShardedMesh, host: usize| -> Vec<(u32, usize)> {

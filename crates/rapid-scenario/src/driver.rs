@@ -16,6 +16,7 @@
 
 use std::time::{Duration, Instant};
 
+use crossbeam::channel::Receiver;
 use rapid_core::id::Endpoint;
 use rapid_core::node::NodeStatus;
 use rapid_core::obs::LatencyHist;
@@ -25,7 +26,7 @@ use rapid_route::{ClientStats, KvOutcome, KvRuntime, KvStats};
 use rapid_sim::Fault;
 use rapid_transport::{AppEvent, Runtime};
 
-use crate::model::{KvSpec, Scenario, SubmitMode, Topology};
+use crate::model::{KvSpec, Scenario, Topology};
 use crate::world::{KvOp, SystemKind, TrafficTotals, World};
 
 /// A workload action with targets resolved to cluster-process indices.
@@ -81,10 +82,10 @@ pub trait Driver {
     /// Whether all view histories agree, where inspectable.
     fn consistent_histories(&self) -> Option<bool>;
 
-    /// Runs a batch of KV client operations through coordinator `via`
-    /// (`None` = driver's choice of a live process) and returns one
-    /// outcome per op. Only drivers hosting the `[kv]` data plane
-    /// support this.
+    /// Runs a batch of KV client operations through the smart-client
+    /// plane (`via` picks the client where several are hosted) and
+    /// returns one outcome per op. Only drivers hosting the `[kv]` data
+    /// plane support this.
     fn kv_batch(&mut self, via: Option<usize>, ops: &[KvOp]) -> Result<Vec<KvOutcome>, Unsupported> {
         let _ = (via, ops);
         Err(Unsupported(
@@ -100,9 +101,7 @@ pub trait Driver {
     }
 
     /// Smart-client plane counters and the merged client-observed
-    /// op-latency histogram, where ops are submitted through
-    /// view-subscribed clients (`None` in coordinator mode or when no
-    /// client plane is hosted).
+    /// op-latency histogram (`None` when no client plane is hosted).
     fn kv_client_stats(&self) -> Option<(ClientStats, LatencyHist)> {
         None
     }
@@ -353,38 +352,45 @@ const MAX_REAL_NODES: usize = 64;
 /// Poll cadence for the wall-clock event loop.
 const POLL: Duration = Duration::from_millis(20);
 
+/// A channel sink for a membership-only runtime, and its receiver.
+fn event_channel() -> (impl Fn(AppEvent) + Send + Sync + 'static, Receiver<AppEvent>) {
+    let (tx, rx) = crossbeam::channel::bounded(16 * 1024);
+    (move |ev| drop(tx.try_send(ev)), rx)
+}
+
 /// One real process: a bare membership runtime, or one with the KV data
 /// plane attached (scenarios with a `[kv]` table).
 enum Proc {
-    Plain(Runtime),
+    /// A membership-only runtime and its event channel.
+    Plain(Runtime, Receiver<AppEvent>),
     Kv(KvRuntime),
 }
 
 impl Proc {
     fn status(&self) -> NodeStatus {
         match self {
-            Proc::Plain(rt) => rt.status(),
+            Proc::Plain(rt, _) => rt.status(),
             Proc::Kv(rt) => rt.status(),
         }
     }
 
     fn view_len(&self) -> usize {
         match self {
-            Proc::Plain(rt) => rt.view().len(),
+            Proc::Plain(rt, _) => rt.view().len(),
             Proc::Kv(rt) => rt.view_len(),
         }
     }
 
     fn leave(self) {
         match self {
-            Proc::Plain(rt) => rt.leave(),
+            Proc::Plain(rt, _) => rt.leave(),
             Proc::Kv(rt) => rt.leave(),
         }
     }
 
     fn shutdown_now(self) {
         match self {
-            Proc::Plain(rt) => rt.shutdown_now(),
+            Proc::Plain(rt, _) => rt.shutdown_now(),
             Proc::Kv(rt) => rt.shutdown_now(),
         }
     }
@@ -409,8 +415,8 @@ pub struct RealDriver {
     /// handoffs happened; the cumulative aggregate must not shrink.
     retired_kv_stats: KvStats,
     seed_addr: Endpoint,
-    /// The smart client hosting `submit = "client"` batches, started on
-    /// first use (one per driver: real scenarios submit batches
+    /// The smart client every KV batch goes through, started on first
+    /// use (one per driver: real scenarios submit batches
     /// sequentially, so one window-bounded client is representative).
     client: Option<KvClientRuntime>,
 }
@@ -449,10 +455,14 @@ impl RealDriver {
         let kv = scenario.kv;
         let start_seed = || -> Result<Proc, String> {
             Ok(match kv {
-                None => Proc::Plain(
-                    Runtime::start_seed(Endpoint::new("127.0.0.1", 0), settings.clone())
-                        .map_err(|e| format!("seed start failed: {e}"))?,
-                ),
+                None => {
+                    let (sink, events) = event_channel();
+                    Proc::Plain(
+                        Runtime::start_seed(Endpoint::new("127.0.0.1", 0), settings.clone(), sink)
+                            .map_err(|e| format!("seed start failed: {e}"))?,
+                        events,
+                    )
+                }
                 Some(spec) => Proc::Kv(
                     KvRuntime::start_seed(
                         Endpoint::new("127.0.0.1", 0),
@@ -467,7 +477,7 @@ impl RealDriver {
         };
         let seed = start_seed()?;
         let seed_addr = match &seed {
-            Proc::Plain(rt) => *rt.addr(),
+            Proc::Plain(rt, _) => *rt.addr(),
             Proc::Kv(rt) => rt.addr(),
         };
         let mut nodes = vec![Some(seed)];
@@ -500,15 +510,20 @@ impl RealDriver {
     ) -> Result<Proc, String> {
         let metadata = rapid_core::Metadata::with_entry("proc", tag);
         Ok(match kv {
-            None => Proc::Plain(
-                Runtime::start_joiner(
-                    Endpoint::new("127.0.0.1", 0),
-                    vec![seed_addr],
-                    settings.clone(),
-                    metadata,
+            None => {
+                let (sink, events) = event_channel();
+                Proc::Plain(
+                    Runtime::start_joiner(
+                        Endpoint::new("127.0.0.1", 0),
+                        vec![seed_addr],
+                        settings.clone(),
+                        metadata,
+                        sink,
+                    )
+                    .map_err(|e| format!("joiner {tag} start failed: {e}"))?,
+                    events,
                 )
-                .map_err(|e| format!("joiner {tag} start failed: {e}"))?,
-            ),
+            }
             Some(spec) => Proc::Kv(
                 KvRuntime::start_joiner(
                     Endpoint::new("127.0.0.1", 0),
@@ -545,11 +560,11 @@ impl RealDriver {
             }
         }
         // View-change accounting: plain runtimes surface events here; KV
-        // runtimes consume their own event stream and publish a counter.
+        // runtimes count the views their sink sees.
         for (i, slot) in self.nodes.iter().enumerate() {
             match slot {
-                Some(Proc::Plain(rt)) => {
-                    while let Ok(ev) = rt.events().try_recv() {
+                Some(Proc::Plain(_, events)) => {
+                    while let Ok(ev) = events.try_recv() {
                         if matches!(ev, AppEvent::View(_)) {
                             self.view_counts[i] += 1;
                         }
@@ -680,83 +695,52 @@ impl Driver for RealDriver {
         None
     }
 
-    fn kv_batch(&mut self, via: Option<usize>, ops: &[KvOp]) -> Result<Vec<KvOutcome>, Unsupported> {
+    fn kv_batch(&mut self, _via: Option<usize>, ops: &[KvOp]) -> Result<Vec<KvOutcome>, Unsupported> {
         let Some(spec) = self.kv else {
             return Err(Unsupported(
                 "this scenario has no [kv] table; the real driver hosts no data plane"
                     .into(),
             ));
         };
-        // Collect one outcome per submitted op within the op window.
-        let collect = |rxs: Vec<crossbeam::channel::Receiver<KvOutcome>>| -> Vec<KvOutcome> {
-            let deadline = Instant::now() + Duration::from_millis(spec.op_window_ms);
-            rxs.into_iter()
-                .map(|rx| {
-                    let budget = deadline.saturating_duration_since(Instant::now());
-                    rx.recv_timeout(budget.max(Duration::from_millis(1)))
-                        .unwrap_or(KvOutcome::Failed)
+        // Smart-client path: subscribe once, then route every op
+        // directly to its partition leader.
+        if self.client.is_none() {
+            let seeds: Vec<Endpoint> = self
+                .nodes
+                .iter()
+                .flatten()
+                .filter_map(|p| match p {
+                    Proc::Kv(rt) => Some(rt.addr()),
+                    Proc::Plain(..) => None,
                 })
-                .collect()
-        };
-        let outcomes = match spec.submit {
-            SubmitMode::Client => {
-                // Smart-client path: subscribe once, then route every op
-                // directly to its partition leader.
-                if self.client.is_none() {
-                    let seeds: Vec<Endpoint> = self
-                        .nodes
-                        .iter()
-                        .flatten()
-                        .filter_map(|p| match p {
-                            Proc::Kv(rt) => Some(rt.addr()),
-                            Proc::Plain(_) => None,
-                        })
-                        .collect();
-                    let client = KvClientRuntime::start(
-                        seeds,
-                        spec.placement(),
-                        self.settings.client_window,
-                        spec.op_timeout_ms(),
-                    )
-                    .map_err(|e| Unsupported(format!("smart client start failed: {e}")))?;
-                    self.client = Some(client);
-                }
-                let rt = self.client.as_ref().expect("started above");
-                let rxs: Vec<_> = ops
-                    .iter()
-                    .map(|op| match &op.put_val {
-                        Some(v) => rt.begin_put(&op.key, v),
-                        None => rt.begin_get(&op.key),
-                    })
-                    .collect();
-                collect(rxs)
-            }
-            SubmitMode::Coordinator => {
-                let idx = match via {
-                    Some(i) => i,
-                    None => self
-                        .nodes
-                        .iter()
-                        .position(Option::is_some)
-                        .ok_or_else(|| {
-                            Unsupported("no live process to coordinate kv ops".into())
-                        })?,
-                };
-                let Some(Proc::Kv(rt)) = self.nodes.get(idx).and_then(Option::as_ref) else {
-                    return Err(Unsupported(format!(
-                        "kv coordinator {idx} is out of range or crashed"
-                    )));
-                };
-                let rxs: Vec<_> = ops
-                    .iter()
-                    .map(|op| match &op.put_val {
-                        Some(v) => rt.begin_put(&op.key, v),
-                        None => rt.begin_get(&op.key),
-                    })
-                    .collect();
-                collect(rxs)
-            }
-        };
+                .collect();
+            let client = KvClientRuntime::start(
+                seeds,
+                spec.placement(),
+                self.settings.client_window,
+                spec.op_timeout_ms(),
+            )
+            .map_err(|e| Unsupported(format!("smart client start failed: {e}")))?;
+            self.client = Some(client);
+        }
+        let rt = self.client.as_ref().expect("started above");
+        let rxs: Vec<_> = ops
+            .iter()
+            .map(|op| match &op.put_val {
+                Some(v) => rt.begin_put(&op.key, v),
+                None => rt.begin_get(&op.key),
+            })
+            .collect();
+        // Collect one outcome per submitted op within the op window.
+        let deadline = Instant::now() + Duration::from_millis(spec.op_window_ms);
+        let outcomes = rxs
+            .into_iter()
+            .map(|rx| {
+                let budget = deadline.saturating_duration_since(Instant::now());
+                rx.recv_timeout(budget.max(Duration::from_millis(1)))
+                    .unwrap_or(KvOutcome::Failed)
+            })
+            .collect();
         self.poll();
         Ok(outcomes)
     }
@@ -815,7 +799,7 @@ impl Driver for RealDriver {
             .flatten()
             .map(|p| match p {
                 Proc::Kv(rt) => rt.timeline_dropped(),
-                Proc::Plain(_) => 0,
+                Proc::Plain(..) => 0,
             })
             .sum()
     }
@@ -831,7 +815,7 @@ impl Driver for RealDriver {
                 .flatten()
                 .filter_map(|p| match p {
                     Proc::Kv(rt) => Some(rt.digest_snapshot()),
-                    Proc::Plain(_) => None,
+                    Proc::Plain(..) => None,
                 })
                 .collect();
             if digest_snapshots_converged(&snaps) {

@@ -15,19 +15,6 @@ use rapid_core::settings::Settings;
 use rapid_route::PlacementConfig;
 use rapid_sim::LatencyDist;
 
-/// How `[kv]` workloads reach the cluster.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum SubmitMode {
-    /// Through view-subscribed smart clients ([`rapid_route::KvClient`]):
-    /// each op routed directly to the partition leader, any-replica
-    /// fallback on a stale view, bounded in-flight window. The default.
-    #[default]
-    Client,
-    /// Legacy raw coordinator submission: ops handed to a member node
-    /// which forwards to leaders (one extra hop per remote op).
-    Coordinator,
-}
-
 /// Configuration of the replicated KV data plane (`[kv]` TOML table).
 /// Present on a scenario ⇒ every cluster process hosts a
 /// `rapid-route` KV node next to its membership node, and `put`
@@ -51,11 +38,8 @@ pub struct KvSpec {
     /// something real. 0 keeps the natural few-byte values. Individual
     /// `put` workloads can override it.
     pub value_size: usize,
-    /// How workload ops reach the cluster (`submit = "client"` |
-    /// `"coordinator"` in TOML). Smart clients by default.
-    pub submit: SubmitMode,
-    /// Number of smart-client processes attached to the cluster when
-    /// `submit = "client"` (ignored in coordinator mode).
+    /// Number of smart-client processes attached to the cluster; every
+    /// workload op goes through one of them (at least one).
     pub clients: usize,
 }
 
@@ -67,7 +51,6 @@ impl Default for KvSpec {
             op_window_ms: 5_000,
             repair_interval_ms: 1_000,
             value_size: 0,
-            submit: SubmitMode::Client,
             clients: 1,
         }
     }
@@ -394,7 +377,8 @@ pub enum WorkloadAction {
     Put {
         /// Number of keys written.
         count: usize,
-        /// Coordinator process index (`None` = first live process).
+        /// Which smart client submits, round-robin over `[kv] clients`
+        /// (`None` = the first).
         via: Option<usize>,
         /// Minimum value size in bytes for this workload, overriding the
         /// `[kv]` table's `value_size` (`None` = inherit).
@@ -525,7 +509,7 @@ pub enum Expect {
     /// (strong consistency). Unsupported drivers record a skip.
     ConsistentHistories,
     /// Every key acked so far is currently readable (a `Found` answer)
-    /// through a live coordinator. Requires `[kv]`.
+    /// through the client plane. Requires `[kv]`.
     KvAvailable,
     /// Every key acked so far reads back at a version at least as new as
     /// its last acked write — no acknowledged write was lost to churn or

@@ -288,8 +288,7 @@ fn phase_json(p: &PhaseReport) -> Json {
             ("msgs_per_frame_milli", Json::uint(kv.msgs_per_frame_milli())),
             ("shed", Json::uint(kv.shed)),
         ];
-        // The client object appears only on smart-client submissions, so
-        // coordinator-mode runs keep their exact pre-client shape.
+        // The client object appears only where a client plane is hosted.
         if let Some(c) = kv.client {
             kv_fields.push((
                 "client",

@@ -791,10 +791,10 @@ mod tests {
             crash_kv.bytes_moved > 500,
             "value_size padding must show up in bytes_moved: {crash_kv:?}"
         );
-        // The default submit mode drives everything through a smart
-        // client, so client-observed metrics must be present and account
-        // for at least the put workload.
-        let client = load_kv.client.expect("client metrics present in client mode");
+        // Every op goes through a smart client, so client-observed
+        // metrics must be present and account for at least the put
+        // workload.
+        let client = load_kv.client.expect("client metrics present");
         assert!(client.submitted >= 20, "client saw the puts: {client:?}");
         assert!(client.completed >= 20, "client completed the puts: {client:?}");
         // The kv object must appear in the JSON, and runs are byte-stable.

@@ -108,26 +108,10 @@ impl RapidActor {
         }
     }
 
-    /// Mutable access to the wrapped decentralized node.
-    pub fn as_node_mut(&mut self) -> Option<&mut Node> {
-        match &mut self.inner {
-            Inner::Node(n) => Some(n),
-            _ => None,
-        }
-    }
-
     /// The wrapped ensemble node, if this actor is one.
     pub fn as_ensemble(&self) -> Option<&EnsembleNode> {
         match &self.inner {
             Inner::Ensemble(e) => Some(e),
-            _ => None,
-        }
-    }
-
-    /// The wrapped edge agent, if this actor is one.
-    pub fn as_agent(&self) -> Option<&EdgeAgent> {
-        match &self.inner {
-            Inner::Agent(a) => Some(a),
             _ => None,
         }
     }

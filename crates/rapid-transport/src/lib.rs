@@ -3,12 +3,19 @@
 //! The paper's implementation runs over gRPC/Netty; this crate provides the
 //! equivalent plumbing with `std::net` TCP and threads, with no async
 //! runtime dependency. The sans-io [`rapid_core::node::Node`] is driven by
-//! a single driver thread that multiplexes inbound frames (from a
-//! listener + per-connection reader threads) with periodic ticks, and
-//! queues outbound frames to one writer thread per peer socket (bounded
-//! per-peer queues over a lazily connected stream each), so a slow or
-//! dead peer backs up only its own queue instead of head-of-line
-//! blocking every destination.
+//! a single driver thread that blocks on one inbox (protocol frames from
+//! the per-connection reader threads, plus leave) until a frame arrives or
+//! its next tick is due. Outbound frames go onto bounded per-peer queues,
+//! one writer thread per peer socket (a lazily connected stream each), so
+//! a slow or dead peer backs up only its own queue instead of
+//! head-of-line blocking every destination.
+//!
+//! The caller passes a *sink* — a closure the transport calls for every
+//! event it delivers ([`AppEvent`]). Reader threads call it for app
+//! frames, the driver for view, join and kick events; app sends enqueue
+//! straight onto the writer queues. No thread sits between a socket and
+//! the sink, or between the sender and the writer. Membership-only
+//! callers pass a channel sender as their sink.
 //!
 //! Framing: every message is `[u32 total_len][u16 host_len][host bytes]
 //! [u16 port][rapid_core::wire body]`, where `host:port` is the *logical*
@@ -24,12 +31,12 @@
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, Receiver, Sender};
+use crossbeam::channel::{bounded, Sender};
 use parking_lot::Mutex;
 
 use rapid_core::config::Configuration;
@@ -46,14 +53,15 @@ use rapid_core::Member;
 pub enum AppEvent {
     /// A view change was installed (the paper's view-change callback).
     View(ViewChange),
-    /// This node completed its join.
+    /// This node completed its join. A seed reports its one-member view
+    /// this way, as its first event.
     Joined(Arc<Configuration>),
     /// This node was removed from the membership.
     Kicked,
     /// An opaque application payload arrived from a peer (sent with
     /// [`Runtime::send_app`]) — the hook data planes (e.g. `rapid-route`'s
     /// replicated KV) build on without the transport knowing their wire
-    /// format.
+    /// format. Delivered on the connection's reader thread.
     App(Endpoint, Vec<u8>),
 }
 
@@ -262,6 +270,9 @@ impl StreamPool {
 /// them.
 const PEER_QUEUE_DEPTH: usize = 4 * 1024;
 
+/// Connect timeout of every outbound stream.
+const CONNECT_TIMEOUT: Duration = Duration::from_millis(250);
+
 /// One queued outbound frame for a peer's writer thread.
 enum WriteJob {
     Proto(Message),
@@ -270,119 +281,224 @@ enum WriteJob {
 
 /// One writer thread per peer socket, fed by bounded per-peer queues.
 ///
-/// The dispatcher (the runtime's driver thread, or an [`AppPeer`]'s
-/// queue drain) never blocks on the network: enqueueing to a full peer
+/// Every sender (the runtime's driver thread, data-plane host threads,
+/// an [`AppPeer`]'s owner) enqueues straight onto the destination's
+/// queue and never blocks on the network: enqueueing to a full peer
 /// queue drops the frame — the same best-effort semantics as a failed
 /// write. A peer whose socket stalls (slow reader, connect timeout to a
 /// dead host) backs up only its own queue; it can no longer
-/// head-of-line-block frames bound for every other destination, which
-/// is what the old single shared writer serialized on.
+/// head-of-line-block frames bound for every other destination.
 struct PeerWriters {
     me: Endpoint,
-    connect_timeout: Duration,
     shutdown: Arc<AtomicBool>,
     peers: std::collections::HashMap<Endpoint, Sender<WriteJob>>,
     handles: Vec<JoinHandle<()>>,
 }
 
 impl PeerWriters {
-    fn new(me: Endpoint, connect_timeout: Duration, shutdown: Arc<AtomicBool>) -> PeerWriters {
-        PeerWriters {
+    fn new(me: Endpoint, shutdown: Arc<AtomicBool>) -> Arc<Mutex<PeerWriters>> {
+        Arc::new(Mutex::new(PeerWriters {
             me,
-            connect_timeout,
             shutdown,
             peers: std::collections::HashMap::new(),
             handles: Vec::new(),
-        }
+        }))
     }
 
-    /// The peer's queue, spawning its writer thread on first use. Each
-    /// writer owns a single-entry [`StreamPool`], so connect/write
-    /// blocking stays on that thread.
-    fn queue_for(&mut self, to: Endpoint) -> &Sender<WriteJob> {
-        if !self.peers.contains_key(&to) {
+    /// Best-effort send: queued to the peer's writer (spawned on first
+    /// use), dropped when its queue is full or the owner is shutting
+    /// down. Each writer owns a single-entry [`StreamPool`], so
+    /// connect/write blocking stays on that thread; it sleeps in a
+    /// blocking `recv` and exits when its queue disconnects.
+    fn send(&mut self, to: Endpoint, job: WriteJob) {
+        if self.shutdown.load(Ordering::Relaxed) {
+            return;
+        }
+        let me = self.me;
+        let stop = &self.shutdown;
+        let handles = &mut self.handles;
+        let queue = self.peers.entry(to).or_insert_with(|| {
             let (tx, rx) = bounded::<WriteJob>(PEER_QUEUE_DEPTH);
-            let me = self.me;
-            let connect_timeout = self.connect_timeout;
-            let stop = Arc::clone(&self.shutdown);
-            self.handles.push(std::thread::spawn(move || {
-                let mut pool = StreamPool::new(me, connect_timeout);
-                while !stop.load(Ordering::Relaxed) {
-                    match rx.recv_timeout(Duration::from_millis(100)) {
-                        Ok(WriteJob::Proto(msg)) => pool.send(&to, &msg),
-                        Ok(WriteJob::App(payload)) => pool.send_app(&to, &payload),
-                        Err(crossbeam::channel::RecvTimeoutError::Timeout) => continue,
-                        Err(crossbeam::channel::RecvTimeoutError::Disconnected) => break,
+            let stop = Arc::clone(stop);
+            handles.push(std::thread::spawn(move || {
+                let mut pool = StreamPool::new(me, CONNECT_TIMEOUT);
+                while let Ok(job) = rx.recv() {
+                    if stop.load(Ordering::Relaxed) {
+                        break;
+                    }
+                    match job {
+                        WriteJob::Proto(msg) => pool.send(&to, &msg),
+                        WriteJob::App(payload) => pool.send_app(&to, &payload),
                     }
                 }
             }));
-            self.peers.insert(to, tx);
-        }
-        self.peers.get(&to).expect("just inserted")
+            tx
+        });
+        let _ = queue.try_send(job);
     }
 
-    /// Best-effort protocol send: queued to the peer's writer, dropped
-    /// when its queue is full.
-    fn send(&mut self, to: Endpoint, msg: Message) {
-        let _ = self.queue_for(to).try_send(WriteJob::Proto(msg));
-    }
-
-    /// Best-effort app-payload send, same queueing rules as [`send`].
-    ///
-    /// [`send`]: PeerWriters::send
-    fn send_app(&mut self, to: Endpoint, payload: Vec<u8>) {
-        let _ = self.queue_for(to).try_send(WriteJob::App(payload));
-    }
-
-    /// Drops every queue (each writer drains frames it already accepted,
-    /// then sees the disconnect) and joins the writer threads.
-    fn join_all(&mut self) {
-        self.peers.clear();
-        for h in self.handles.drain(..) {
+    /// Drops every queue (each writer sees the disconnect once it has
+    /// drained or, past shutdown, at its next frame) and joins the
+    /// writer threads. Call after setting the shutdown flag, so no new
+    /// writer can spawn behind it.
+    fn join_all(writers: &Mutex<PeerWriters>) {
+        let handles = {
+            let mut w = writers.lock();
+            w.peers.clear();
+            std::mem::take(&mut w.handles)
+        };
+        for h in handles {
             let _ = h.join();
         }
     }
 }
 
+/// A cloneable handle that sends app payloads from any thread straight
+/// onto the per-peer writer queues of a [`Runtime`] or [`AppPeer`] —
+/// the hook data-plane host threads use to emit frames without owning
+/// the transport. Delivery is best effort: a payload is dropped when
+/// the peer's queue is full.
+#[derive(Clone)]
+pub struct AppSender(Arc<Mutex<PeerWriters>>);
+
+impl AppSender {
+    /// Queues an app payload for best-effort delivery to `to`.
+    pub fn send_app(&self, to: Endpoint, payload: Vec<u8>) {
+        self.0.lock().send(to, WriteJob::App(payload));
+    }
+}
+
+/// Binds the accept loop shared by [`Runtime`] and [`AppPeer`]: one
+/// reader thread per inbound connection, each handing every decoded
+/// frame (sender, body, wire size) to `on_frame` on its own thread. A
+/// reader stops when `on_frame` returns `false`, its peer hangs up, or
+/// the shutdown flag is set.
+fn spawn_listener<F>(
+    listener: TcpListener,
+    shutdown: Arc<AtomicBool>,
+    on_frame: F,
+) -> std::io::Result<JoinHandle<()>>
+where
+    F: Fn(Endpoint, Inbound, u64) -> bool + Send + Sync + 'static,
+{
+    listener.set_nonblocking(true)?;
+    let on_frame = Arc::new(on_frame);
+    Ok(std::thread::spawn(move || {
+        let mut readers: Vec<JoinHandle<()>> = Vec::new();
+        // Idle-poll backoff: start fast so a fresh connection is picked
+        // up promptly, back off exponentially while the socket stays
+        // quiet so an idle node does not spin at a fixed cadence, and
+        // reset on every accepted connection.
+        let mut backoff = ACCEPT_BACKOFF_MIN;
+        while !shutdown.load(Ordering::Relaxed) {
+            match listener.accept() {
+                Ok((stream, _)) => {
+                    backoff = ACCEPT_BACKOFF_MIN;
+                    let on_frame = Arc::clone(&on_frame);
+                    let stop = Arc::clone(&shutdown);
+                    let _ = stream.set_nodelay(true);
+                    let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
+                    readers.push(std::thread::spawn(move || {
+                        let mut stream = stream;
+                        while !stop.load(Ordering::Relaxed) {
+                            match read_frame(&mut stream) {
+                                Ok((from, body, size)) => {
+                                    if !on_frame(from, body, size) {
+                                        break;
+                                    }
+                                }
+                                Err(e)
+                                    if e.kind() == std::io::ErrorKind::WouldBlock
+                                        || e.kind() == std::io::ErrorKind::TimedOut =>
+                                {
+                                    continue
+                                }
+                                Err(_) => break,
+                            }
+                        }
+                    }));
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    std::thread::sleep(backoff);
+                    backoff = (backoff * 2).min(ACCEPT_BACKOFF_MAX);
+                }
+                Err(_) => break,
+            }
+        }
+        for r in readers {
+            let _ = r.join();
+        }
+    }))
+}
+
+/// The driver thread's single inbox.
+enum DriverIn {
+    /// A protocol frame that passed the per-peer quota.
+    Frame(Endpoint, Message),
+    /// Announce a voluntary departure.
+    Leave,
+    /// Exit now (the shutdown flag is already set).
+    Stop,
+}
+
 /// A running Rapid node bound to a real TCP socket.
+///
+/// Threads: one listener, one reader per inbound connection, one driver
+/// that owns the sans-io [`Node`], and one writer per destination peer.
+/// Readers apply the per-peer quota, then hand app frames to the
+/// caller's sink and protocol frames to the driver's inbox; the driver
+/// blocks until a frame arrives or its next tick is due, hands view,
+/// join and kick events to the sink, and enqueues protocol frames onto
+/// the writer queues. [`Runtime::send_app`] enqueues onto those queues
+/// directly, so an app payload never waits for the driver.
 pub struct Runtime {
     me: Member,
-    events_rx: Receiver<AppEvent>,
     view: Arc<Mutex<Arc<Configuration>>>,
     status: Arc<Mutex<NodeStatus>>,
     shutdown: Arc<AtomicBool>,
-    control_tx: Sender<Control>,
-    quota_dropped: Arc<AtomicU64>,
+    inbox: Sender<DriverIn>,
+    writers: Arc<Mutex<PeerWriters>>,
+    quotas: Arc<Mutex<QuotaTracker>>,
     threads: Vec<JoinHandle<()>>,
-}
-
-enum Control {
-    Leave,
-    SendApp(Endpoint, Vec<u8>),
 }
 
 impl Runtime {
     /// Starts a seed node bootstrapping a fresh cluster on `listen`.
-    pub fn start_seed(listen: Endpoint, settings: Settings) -> std::io::Result<Runtime> {
-        Self::start(listen, settings, Vec::new(), rapid_core::Metadata::new())
+    /// Every [`AppEvent`] is handed to `sink` (see [`Runtime`] for the
+    /// threads that call it); the seed's one-member view arrives first,
+    /// as [`AppEvent::Joined`].
+    pub fn start_seed<S>(listen: Endpoint, settings: Settings, sink: S) -> std::io::Result<Runtime>
+    where
+        S: Fn(AppEvent) + Send + Sync + 'static,
+    {
+        Self::start(listen, settings, Vec::new(), rapid_core::Metadata::new(), sink)
     }
 
-    /// Starts a node that joins an existing cluster through `seeds`.
-    pub fn start_joiner(
+    /// Starts a node that joins an existing cluster through `seeds`,
+    /// handing every [`AppEvent`] to `sink`.
+    pub fn start_joiner<S>(
         listen: Endpoint,
         seeds: Vec<Endpoint>,
         settings: Settings,
         metadata: rapid_core::Metadata,
-    ) -> std::io::Result<Runtime> {
-        Self::start(listen, settings, seeds, metadata)
+        sink: S,
+    ) -> std::io::Result<Runtime>
+    where
+        S: Fn(AppEvent) + Send + Sync + 'static,
+    {
+        Self::start(listen, settings, seeds, metadata, sink)
     }
 
-    fn start(
+    fn start<S>(
         listen: Endpoint,
         settings: Settings,
         seeds: Vec<Endpoint>,
         metadata: rapid_core::Metadata,
-    ) -> std::io::Result<Runtime> {
+        sink: S,
+    ) -> std::io::Result<Runtime>
+    where
+        S: Fn(AppEvent) + Send + Sync + 'static,
+    {
         let listener = TcpListener::bind(format!("{listen}"))?;
         let actual: SocketAddr = listener.local_addr()?;
         let me_ep = Endpoint::new(listen.host(), actual.port());
@@ -401,163 +517,117 @@ impl Runtime {
             Node::new_joiner(me.clone(), settings.clone(), seeds)
         };
 
-        let (inbound_tx, inbound_rx) = bounded::<(Endpoint, Inbound, u64)>(64 * 1024);
-        let (events_tx, events_rx) = bounded::<AppEvent>(16 * 1024);
-        let (control_tx, control_rx) = bounded::<Control>(4 * 1024);
+        let sink = Arc::new(sink);
+        let (inbox, inbox_rx) = bounded::<DriverIn>(64 * 1024);
         let shutdown = Arc::new(AtomicBool::new(false));
         let view = Arc::new(Mutex::new(node.configuration()));
         let status = Arc::new(Mutex::new(node.status()));
+        let writers = PeerWriters::new(me_ep, Arc::clone(&shutdown));
+        let quota = PeerQuota {
+            frames_per_interval: settings.peer_quota_frames,
+            bytes_per_interval: settings.peer_quota_bytes,
+            interval_ms: settings.peer_quota_interval_ms,
+        };
+        let quotas = Arc::new(Mutex::new(QuotaTracker::new(quota)));
+        let start = Instant::now();
 
-        let mut threads = Vec::new();
-
-        // Listener thread: accept connections, spawn frame readers.
-        {
-            let inbound_tx = inbound_tx.clone();
-            let shutdown = Arc::clone(&shutdown);
-            listener.set_nonblocking(true)?;
-            threads.push(std::thread::spawn(move || {
-                let mut readers: Vec<JoinHandle<()>> = Vec::new();
-                // Idle-poll backoff: start fast so a fresh connection is
-                // picked up promptly, back off exponentially while the
-                // socket stays quiet so an idle node does not spin at a
-                // fixed cadence, and reset on every accepted connection.
-                let mut backoff = ACCEPT_BACKOFF_MIN;
-                while !shutdown.load(Ordering::Relaxed) {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            backoff = ACCEPT_BACKOFF_MIN;
-                            let tx = inbound_tx.clone();
-                            let stop = Arc::clone(&shutdown);
-                            let _ = stream.set_nodelay(true);
-                            let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
-                            readers.push(std::thread::spawn(move || {
-                                let mut stream = stream;
-                                while !stop.load(Ordering::Relaxed) {
-                                    match read_frame(&mut stream) {
-                                        Ok((from, msg, size)) => {
-                                            if tx.send((from, msg, size)).is_err() {
-                                                break;
-                                            }
-                                        }
-                                        Err(e)
-                                            if e.kind() == std::io::ErrorKind::WouldBlock
-                                                || e.kind() == std::io::ErrorKind::TimedOut =>
-                                        {
-                                            continue
-                                        }
-                                        Err(_) => break,
-                                    }
-                                }
-                            }));
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(backoff);
-                            backoff = (backoff * 2).min(ACCEPT_BACKOFF_MAX);
-                        }
-                        Err(_) => break,
+        // Readers: a peer over its frame or byte budget for this interval
+        // has the frame dropped before any dispatch; app frames go
+        // straight to the sink, protocol frames to the driver.
+        let mut threads = vec![{
+            let inbox = inbox.clone();
+            let sink = Arc::clone(&sink);
+            let quotas = Arc::clone(&quotas);
+            spawn_listener(listener, Arc::clone(&shutdown), move |from, body, size| {
+                if !quota.is_unlimited() {
+                    let now_ms = start.elapsed().as_millis() as u64;
+                    if quotas.lock().admit(from, size as usize, now_ms).is_err() {
+                        return true;
                     }
                 }
-                for r in readers {
-                    let _ = r.join();
+                match body {
+                    Inbound::Proto(msg) => inbox.send(DriverIn::Frame(from, msg)).is_ok(),
+                    Inbound::App(payload) => {
+                        sink(AppEvent::App(from, payload));
+                        true
+                    }
                 }
-            }));
-        }
+            })?
+        }];
 
-        // Driver thread: ticks + message dispatch.
-        let quota_dropped = Arc::new(AtomicU64::new(0));
+        // Driver: blocks until a frame arrives or the next tick is due,
+        // drains the inbox, then dispatches the node's actions.
         {
             let shutdown = Arc::clone(&shutdown);
             let view = Arc::clone(&view);
             let status = Arc::clone(&status);
+            let writers = Arc::clone(&writers);
             let tick = Duration::from_millis(settings.tick_interval_ms);
-            let me_ep2 = me_ep;
-            let quota_dropped = Arc::clone(&quota_dropped);
-            let quota = PeerQuota {
-                frames_per_interval: settings.peer_quota_frames,
-                bytes_per_interval: settings.peer_quota_bytes,
-                interval_ms: settings.peer_quota_interval_ms,
-            };
             threads.push(std::thread::spawn(move || {
                 let mut node = node;
-                let mut writers =
-                    PeerWriters::new(me_ep2, Duration::from_millis(250), Arc::clone(&shutdown));
-                let mut quotas = QuotaTracker::new(quota);
-                let start = Instant::now();
-                let mut next_tick = Instant::now();
                 let mut actions = Vec::new();
-                loop {
+                if node.status() == NodeStatus::Active {
+                    sink(AppEvent::Joined(node.configuration()));
+                }
+                let mut next_tick = Instant::now();
+                'run: loop {
+                    let mut item =
+                        match inbox_rx.recv_timeout(next_tick.saturating_duration_since(Instant::now())) {
+                            Ok(item) => Some(item),
+                            Err(crossbeam::channel::RecvTimeoutError::Timeout) => None,
+                            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => break,
+                        };
+                    while let Some(input) = item.take().or_else(|| inbox_rx.try_recv().ok()) {
+                        match input {
+                            DriverIn::Frame(from, msg) => {
+                                node.handle(Event::Receive { from, msg }, &mut actions)
+                            }
+                            DriverIn::Leave => node.leave(&mut actions),
+                            DriverIn::Stop => break 'run,
+                        }
+                    }
                     if shutdown.load(Ordering::Relaxed) {
                         break;
                     }
-                    // Control commands.
-                    while let Ok(cmd) = control_rx.try_recv() {
-                        match cmd {
-                            Control::Leave => node.leave(&mut actions),
-                            Control::SendApp(to, payload) => writers.send_app(to, payload),
-                        }
+                    if Instant::now() >= next_tick {
+                        let now_ms = start.elapsed().as_millis() as u64;
+                        node.handle(Event::Tick { now_ms }, &mut actions);
+                        next_tick += tick;
                     }
-                    // Inbound frames until the next tick is due.
-                    let budget = next_tick.saturating_duration_since(Instant::now());
-                    match inbound_rx.recv_timeout(budget) {
-                        Ok((from, inbound, size)) => {
-                            let now_ms = start.elapsed().as_millis() as u64;
-                            // Per-peer rate limit: a peer over its frame
-                            // or byte budget for this interval has the
-                            // frame dropped before any decode dispatch.
-                            if quotas.admit(from, size as usize, now_ms).is_err() {
-                                quota_dropped.store(quotas.dropped(), Ordering::Relaxed);
-                            } else {
-                                match inbound {
-                                    Inbound::Proto(msg) => {
-                                        node.handle(Event::Receive { from, msg }, &mut actions);
-                                    }
-                                    Inbound::App(payload) => {
-                                        let _ = events_tx.try_send(AppEvent::App(from, payload));
-                                    }
-                                }
-                            }
-                        }
-                        Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
-                            let now_ms = start.elapsed().as_millis() as u64;
-                            node.handle(Event::Tick { now_ms }, &mut actions);
-                            next_tick += tick;
-                        }
-                        Err(crossbeam::channel::RecvTimeoutError::Disconnected) => break,
-                    }
-                    // Dispatch actions.
                     for action in actions.drain(..) {
                         match action {
-                            Action::Send { to, msg } => writers.send(to, msg),
+                            Action::Send { to, msg } => {
+                                writers.lock().send(to, WriteJob::Proto(msg))
+                            }
                             Action::View(vc) => {
                                 *view.lock() = Arc::clone(&vc.configuration);
                                 *status.lock() = node.status();
-                                let _ = events_tx.try_send(AppEvent::View(vc));
+                                sink(AppEvent::View(vc));
                             }
                             Action::Joined { config } => {
                                 *view.lock() = Arc::clone(&config);
                                 *status.lock() = node.status();
-                                let _ = events_tx.try_send(AppEvent::Joined(config));
+                                sink(AppEvent::Joined(config));
                             }
                             Action::Kicked => {
                                 *status.lock() = NodeStatus::Kicked;
-                                let _ = events_tx.try_send(AppEvent::Kicked);
+                                sink(AppEvent::Kicked);
                             }
                         }
                     }
                     *status.lock() = node.status();
                 }
-                writers.join_all();
             }));
         }
 
         Ok(Runtime {
             me,
-            events_rx,
             view,
             status,
             shutdown,
-            control_tx,
-            quota_dropped,
+            inbox,
+            writers,
+            quotas,
             threads,
         })
     }
@@ -566,7 +636,7 @@ impl Runtime {
     /// (`Settings::peer_quota_frames` / `peer_quota_bytes`; 0 when
     /// quotas are disabled).
     pub fn quota_dropped(&self) -> u64 {
-        self.quota_dropped.load(Ordering::Relaxed)
+        self.quotas.lock().dropped()
     }
 
     /// This node's identity.
@@ -589,24 +659,17 @@ impl Runtime {
         *self.status.lock()
     }
 
-    /// The stream of application events (view changes, join, kick, app
-    /// payloads).
-    pub fn events(&self) -> &Receiver<AppEvent> {
-        &self.events_rx
-    }
-
     /// Sends an opaque application payload to a peer runtime, best
-    /// effort, via the peer's writer thread. The peer surfaces it as
-    /// [`AppEvent::App`].
+    /// effort, straight onto the peer's writer queue. The peer's sink
+    /// receives it as [`AppEvent::App`].
     pub fn send_app(&self, to: Endpoint, payload: Vec<u8>) {
-        let _ = self.control_tx.try_send(Control::SendApp(to, payload));
+        self.writers.lock().send(to, WriteJob::App(payload));
     }
 
-    /// A cloneable handle for queueing app payloads from any thread —
-    /// the hook sharded data planes use so every shard worker can emit
-    /// frames without owning the runtime.
+    /// A cloneable handle for the same sends from threads that do not
+    /// own the runtime (e.g. KV shard host threads).
     pub fn app_sender(&self) -> AppSender {
-        AppSender(self.control_tx.clone())
+        AppSender(Arc::clone(&self.writers))
     }
 
     /// Starts a loopback introspection listener and returns its bound
@@ -614,12 +677,12 @@ impl Runtime {
     ///
     /// Every accepted connection receives exactly one line of JSON —
     /// `{"node":"host:port","status":"Active","view_id":<u64>,
-    /// "members":<n>, ...}` — and is then closed, so `nc 127.0.0.1 PORT`
-    /// or a scraper can poll liveness without speaking the membership
-    /// protocol. The `extra` hook appends data-plane fields (the caller
-    /// writes `,"key":value` pairs into the line) so hosts like
-    /// `rapid-route` can expose KV stats and op-latency quantiles
-    /// through the same socket.
+    /// "members":<n>,"quota_dropped":<n>, ...}` — and is then closed, so
+    /// `nc 127.0.0.1 PORT` or a scraper can poll liveness without
+    /// speaking the membership protocol. The `extra` hook appends
+    /// data-plane fields (the caller writes `,"key":value` pairs into
+    /// the line) so hosts like `rapid-route` can expose KV stats and
+    /// op-latency quantiles through the same socket.
     ///
     /// The listener binds `127.0.0.1:0` (loopback only, ephemeral port),
     /// runs on its own thread with the same idle-poll backoff as the
@@ -634,6 +697,7 @@ impl Runtime {
         let me = self.me.addr;
         let view = Arc::clone(&self.view);
         let status = Arc::clone(&self.status);
+        let quotas = Arc::clone(&self.quotas);
         let shutdown = Arc::clone(&self.shutdown);
         self.threads.push(std::thread::spawn(move || {
             let mut backoff = ACCEPT_BACKOFF_MIN;
@@ -646,8 +710,9 @@ impl Runtime {
                             (v.id().0, v.len())
                         };
                         let st = *status.lock();
+                        let dropped = quotas.lock().dropped();
                         let mut line = format!(
-                            "{{\"node\":\"{me}\",\"status\":\"{st:?}\",\"view_id\":{view_id},\"members\":{members}"
+                            "{{\"node\":\"{me}\",\"status\":\"{st:?}\",\"view_id\":{view_id},\"members\":{members},\"quota_dropped\":{dropped}"
                         );
                         extra(&mut line);
                         line.push_str("}\n");
@@ -668,7 +733,7 @@ impl Runtime {
 
     /// Announces a voluntary departure, then shuts the runtime down.
     pub fn leave(self) {
-        let _ = self.control_tx.send(Control::Leave);
+        let _ = self.inbox.send(DriverIn::Leave);
         std::thread::sleep(Duration::from_millis(200));
         self.shutdown_now();
     }
@@ -677,136 +742,55 @@ impl Runtime {
     /// the cluster is concerned).
     pub fn shutdown_now(mut self) {
         self.shutdown.store(true, Ordering::Relaxed);
+        let _ = self.inbox.send(DriverIn::Stop);
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
-    }
-}
-
-/// A cloneable handle for [`Runtime::send_app`]-style sends from threads
-/// that do not own the [`Runtime`] (e.g. KV shard workers). Delivery is
-/// best effort: the payload is dropped if the control queue is full.
-#[derive(Clone)]
-pub struct AppSender(Sender<Control>);
-
-impl AppSender {
-    /// Queues an app payload for best-effort delivery to `to`.
-    pub fn send_app(&self, to: Endpoint, payload: Vec<u8>) {
-        let _ = self.0.try_send(Control::SendApp(to, payload));
+        PeerWriters::join_all(&self.writers);
     }
 }
 
 /// A standalone application-frame endpoint for processes *outside* the
 /// membership — the smart-client plane's transport. It speaks only the
 /// opaque app-frame subset of the wire format: inbound protocol frames
-/// are ignored, outbound sends go through its own lazily connected
-/// per-peer [`StreamPool`] (one pooled TCP stream per leader), and every
-/// received app payload is surfaced as `(sender, payload)`.
+/// are ignored, every received app payload is handed to the caller's
+/// sink as `(sender, payload)` on its reader thread, and sends go
+/// straight onto per-peer writer queues (one pooled TCP stream per
+/// destination).
 ///
 /// Unlike [`Runtime`], an `AppPeer` never joins, probes, or votes — it
 /// holds no `Node` at all. A `rapid-route` smart client built on it
 /// learns the membership purely from view pushes over app frames.
 pub struct AppPeer {
     me: Endpoint,
-    events_rx: Receiver<(Endpoint, Vec<u8>)>,
-    control_tx: Sender<(Endpoint, Vec<u8>)>,
+    writers: Arc<Mutex<PeerWriters>>,
     shutdown: Arc<AtomicBool>,
     threads: Vec<JoinHandle<()>>,
 }
 
 impl AppPeer {
-    /// Binds `listen` (port 0 for ephemeral) and starts the accept and
-    /// writer threads.
-    pub fn start(listen: Endpoint) -> std::io::Result<AppPeer> {
+    /// Binds `listen` (port 0 for ephemeral) and starts the accept loop;
+    /// `sink` receives every inbound app payload.
+    pub fn start<S>(listen: Endpoint, sink: S) -> std::io::Result<AppPeer>
+    where
+        S: Fn(Endpoint, Vec<u8>) + Send + Sync + 'static,
+    {
         let listener = TcpListener::bind(format!("{listen}"))?;
         let actual: SocketAddr = listener.local_addr()?;
         let me = Endpoint::new(listen.host(), actual.port());
-        let (events_tx, events_rx) = bounded::<(Endpoint, Vec<u8>)>(64 * 1024);
-        let (control_tx, control_rx) = bounded::<(Endpoint, Vec<u8>)>(64 * 1024);
         let shutdown = Arc::new(AtomicBool::new(false));
-        let mut threads = Vec::new();
-
-        // Accept loop: same reader-thread-per-connection pattern as the
-        // runtime's listener, app frames only.
-        {
-            let shutdown = Arc::clone(&shutdown);
-            listener.set_nonblocking(true)?;
-            threads.push(std::thread::spawn(move || {
-                let mut readers: Vec<JoinHandle<()>> = Vec::new();
-                let mut backoff = ACCEPT_BACKOFF_MIN;
-                while !shutdown.load(Ordering::Relaxed) {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            backoff = ACCEPT_BACKOFF_MIN;
-                            let tx = events_tx.clone();
-                            let stop = Arc::clone(&shutdown);
-                            let _ = stream.set_nodelay(true);
-                            let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
-                            readers.push(std::thread::spawn(move || {
-                                let mut stream = stream;
-                                while !stop.load(Ordering::Relaxed) {
-                                    match read_frame(&mut stream) {
-                                        Ok((from, Inbound::App(payload), _)) => {
-                                            if tx.send((from, payload)).is_err() {
-                                                break;
-                                            }
-                                        }
-                                        // Membership traffic aimed at a
-                                        // client is a peer bug; drop it.
-                                        Ok((_, Inbound::Proto(_), _)) => continue,
-                                        Err(e)
-                                            if e.kind() == std::io::ErrorKind::WouldBlock
-                                                || e.kind() == std::io::ErrorKind::TimedOut =>
-                                        {
-                                            continue
-                                        }
-                                        Err(_) => break,
-                                    }
-                                }
-                            }));
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(backoff);
-                            backoff = (backoff * 2).min(ACCEPT_BACKOFF_MAX);
-                        }
-                        Err(_) => break,
-                    }
-                }
-                for r in readers {
-                    let _ = r.join();
-                }
-            }));
-        }
-
-        // Dispatcher thread: fans queued sends out to one writer thread
-        // per peer, so one stalled leader connection cannot delay
-        // frames bound for the others.
-        {
-            let shutdown = Arc::clone(&shutdown);
-            let me2 = me;
-            threads.push(std::thread::spawn(move || {
-                let mut writers =
-                    PeerWriters::new(me2, Duration::from_millis(250), Arc::clone(&shutdown));
-                loop {
-                    if shutdown.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    match control_rx.recv_timeout(Duration::from_millis(100)) {
-                        Ok((to, payload)) => writers.send_app(to, payload),
-                        Err(crossbeam::channel::RecvTimeoutError::Timeout) => continue,
-                        Err(crossbeam::channel::RecvTimeoutError::Disconnected) => break,
-                    }
-                }
-                writers.join_all();
-            }));
-        }
-
+        let listener = spawn_listener(listener, Arc::clone(&shutdown), move |from, body, _| {
+            // Membership traffic aimed at a client is a peer bug; drop it.
+            if let Inbound::App(payload) = body {
+                sink(from, payload);
+            }
+            true
+        })?;
         Ok(AppPeer {
             me,
-            events_rx,
-            control_tx,
+            writers: PeerWriters::new(me, Arc::clone(&shutdown)),
             shutdown,
-            threads,
+            threads: vec![listener],
         })
     }
 
@@ -815,15 +799,15 @@ impl AppPeer {
         &self.me
     }
 
-    /// Inbound app payloads, as `(sender, payload)`.
-    pub fn events(&self) -> &Receiver<(Endpoint, Vec<u8>)> {
-        &self.events_rx
-    }
-
     /// Queues an app payload for best-effort delivery over the pooled
     /// per-peer stream.
     pub fn send_app(&self, to: Endpoint, payload: Vec<u8>) {
-        let _ = self.control_tx.try_send((to, payload));
+        self.writers.lock().send(to, WriteJob::App(payload));
+    }
+
+    /// A cloneable handle for the same sends from other threads.
+    pub fn app_sender(&self) -> AppSender {
+        AppSender(Arc::clone(&self.writers))
     }
 
     /// Stops all threads.
@@ -832,12 +816,14 @@ impl AppPeer {
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
+        PeerWriters::join_all(&self.writers);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crossbeam::channel::Receiver;
 
     fn fast_settings() -> Settings {
         Settings {
@@ -850,6 +836,22 @@ mod tests {
             gossip_interval_ms: 50,
             ..Settings::default()
         }
+    }
+
+    /// A channel sink: the membership-only way to consume events.
+    fn events() -> (impl Fn(AppEvent) + Send + Sync + 'static, Receiver<AppEvent>) {
+        let (tx, rx) = bounded::<AppEvent>(16 * 1024);
+        (move |ev| drop(tx.try_send(ev)), rx)
+    }
+
+    /// An app peer whose payloads land on a channel.
+    fn app_peer() -> (AppPeer, Receiver<(Endpoint, Vec<u8>)>) {
+        let (tx, rx) = bounded(64 * 1024);
+        let peer = AppPeer::start(Endpoint::new("127.0.0.1", 0), move |from, payload| {
+            drop(tx.try_send((from, payload)))
+        })
+        .unwrap();
+        (peer, rx)
     }
 
     fn wait_for<F: FnMut() -> bool>(mut f: F, timeout: Duration) -> bool {
@@ -869,9 +871,9 @@ mod tests {
         // when the dispatcher interleaves them with frames for other
         // peers (and for a dead endpoint, whose connect attempts now
         // block only that peer's own writer thread).
-        let a = AppPeer::start(Endpoint::new("127.0.0.1", 0)).unwrap();
-        let b = AppPeer::start(Endpoint::new("127.0.0.1", 0)).unwrap();
-        let c = AppPeer::start(Endpoint::new("127.0.0.1", 0)).unwrap();
+        let (a, _) = app_peer();
+        let (b, b_rx) = app_peer();
+        let (c, c_rx) = app_peer();
         let dead = {
             // A port that was just bound and released: nothing listens.
             let l = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -884,11 +886,11 @@ mod tests {
             a.send_app(dead, vec![9, i]);
             a.send_app(*c.addr(), vec![1, i]);
         }
-        let drain = |p: &AppPeer, tag: u8| {
+        let drain = |rx: &Receiver<(Endpoint, Vec<u8>)>, tag: u8| {
             let mut got = Vec::new();
             let deadline = Instant::now() + Duration::from_secs(5);
             while got.len() < 50 && Instant::now() < deadline {
-                if let Ok((from, payload)) = p.events().recv_timeout(Duration::from_millis(100)) {
+                if let Ok((from, payload)) = rx.recv_timeout(Duration::from_millis(100)) {
                     assert_eq!(from, *a.addr());
                     assert_eq!(payload[0], tag);
                     got.push(payload[1]);
@@ -896,8 +898,8 @@ mod tests {
             }
             got
         };
-        assert_eq!(drain(&b, 0), (0..50).collect::<Vec<_>>());
-        assert_eq!(drain(&c, 1), (0..50).collect::<Vec<_>>());
+        assert_eq!(drain(&b_rx, 0), (0..50).collect::<Vec<_>>());
+        assert_eq!(drain(&c_rx, 1), (0..50).collect::<Vec<_>>());
         a.shutdown_now();
         b.shutdown_now();
         c.shutdown_now();
@@ -989,20 +991,23 @@ mod tests {
     #[test]
     fn app_payloads_flow_between_runtimes() {
         let settings = fast_settings();
-        let seed = Runtime::start_seed(Endpoint::new("127.0.0.1", 0), settings.clone()).unwrap();
+        let (sink, seed_events) = events();
+        let seed =
+            Runtime::start_seed(Endpoint::new("127.0.0.1", 0), settings.clone(), sink).unwrap();
         let seed_addr = *seed.addr();
         let j = Runtime::start_joiner(
             Endpoint::new("127.0.0.1", 0),
             vec![seed_addr],
             settings,
             rapid_core::Metadata::new(),
+            |_| {},
         )
         .unwrap();
         assert!(wait_for(|| seed.view().len() == 2, Duration::from_secs(30)));
         j.send_app(seed_addr, b"ping-42".to_vec());
         let got = wait_for(
             || {
-                while let Ok(ev) = seed.events().try_recv() {
+                while let Ok(ev) = seed_events.try_recv() {
                     if let AppEvent::App(from, payload) = ev {
                         assert_eq!(from, *j.addr());
                         assert_eq!(payload, b"ping-42");
@@ -1022,7 +1027,7 @@ mod tests {
     fn introspection_endpoint_serves_one_json_line() {
         let settings = fast_settings();
         let mut seed =
-            Runtime::start_seed(Endpoint::new("127.0.0.1", 0), settings.clone()).unwrap();
+            Runtime::start_seed(Endpoint::new("127.0.0.1", 0), settings.clone(), |_| {}).unwrap();
         let probe_addr =
             seed.serve_introspection(|line| line.push_str(",\"probe\":1")).unwrap();
         assert!(wait_for(
@@ -1039,6 +1044,7 @@ mod tests {
             assert!(body.starts_with("{\"node\":\"127.0.0.1:"), "{body:?}");
             assert!(body.contains("\"status\":\"Active\""), "{body:?}");
             assert!(body.contains("\"members\":1"), "{body:?}");
+            assert!(body.contains("\"quota_dropped\":0"), "{body:?}");
             assert!(body.contains(",\"probe\":1"), "extra hook must run: {body:?}");
         }
         seed.shutdown_now();
@@ -1047,7 +1053,8 @@ mod tests {
     #[test]
     fn cluster_forms_and_removes_crashed_node_over_tcp() {
         let settings = fast_settings();
-        let seed = Runtime::start_seed(Endpoint::new("127.0.0.1", 0), settings.clone()).unwrap();
+        let seed =
+            Runtime::start_seed(Endpoint::new("127.0.0.1", 0), settings.clone(), |_| {}).unwrap();
         let seed_addr = *seed.addr();
         let mut joiners = Vec::new();
         for _ in 0..3 {
@@ -1057,6 +1064,7 @@ mod tests {
                     vec![seed_addr],
                     settings.clone(),
                     rapid_core::Metadata::with_entry("role", "test"),
+                    |_| {},
                 )
                 .unwrap(),
             );
@@ -1093,13 +1101,15 @@ mod tests {
     #[test]
     fn voluntary_leave_is_faster_than_crash_detection() {
         let settings = fast_settings();
-        let seed = Runtime::start_seed(Endpoint::new("127.0.0.1", 0), settings.clone()).unwrap();
+        let seed =
+            Runtime::start_seed(Endpoint::new("127.0.0.1", 0), settings.clone(), |_| {}).unwrap();
         let seed_addr = *seed.addr();
         let j1 = Runtime::start_joiner(
             Endpoint::new("127.0.0.1", 0),
             vec![seed_addr],
             settings.clone(),
             rapid_core::Metadata::new(),
+            |_| {},
         )
         .unwrap();
         let j2 = Runtime::start_joiner(
@@ -1107,6 +1117,7 @@ mod tests {
             vec![seed_addr],
             settings,
             rapid_core::Metadata::new(),
+            |_| {},
         )
         .unwrap();
         assert!(wait_for(
@@ -1130,9 +1141,10 @@ mod tests {
         // The client plane's transport: an AppPeer (no membership)
         // talking app frames with a full runtime, both directions.
         let settings = fast_settings();
-        let seed = Runtime::start_seed(Endpoint::new("127.0.0.1", 0), settings).unwrap();
+        let (sink, seed_events) = events();
+        let seed = Runtime::start_seed(Endpoint::new("127.0.0.1", 0), settings, sink).unwrap();
         let seed_addr = *seed.addr();
-        let peer = AppPeer::start(Endpoint::new("127.0.0.1", 0)).unwrap();
+        let (peer, peer_events) = app_peer();
         let peer_addr = *peer.addr();
         assert!(wait_for(
             || seed.status() == NodeStatus::Active,
@@ -1141,7 +1153,7 @@ mod tests {
         peer.send_app(seed_addr, b"sub".to_vec());
         let got = wait_for(
             || {
-                while let Ok(ev) = seed.events().try_recv() {
+                while let Ok(ev) = seed_events.try_recv() {
                     if let AppEvent::App(from, payload) = ev {
                         assert_eq!(from, peer_addr);
                         assert_eq!(payload, b"sub");
@@ -1157,7 +1169,7 @@ mod tests {
         seed.send_app(peer_addr, b"view".to_vec());
         let got = wait_for(
             || {
-                if let Ok((from, payload)) = peer.events().try_recv() {
+                if let Ok((from, payload)) = peer_events.try_recv() {
                     assert_eq!(from, seed_addr);
                     assert_eq!(payload, b"view");
                     return true;
@@ -1180,14 +1192,15 @@ mod tests {
             peer_quota_interval_ms: 60_000,
             ..fast_settings()
         };
-        let seed = Runtime::start_seed(Endpoint::new("127.0.0.1", 0), settings).unwrap();
+        let (sink, seed_events) = events();
+        let seed = Runtime::start_seed(Endpoint::new("127.0.0.1", 0), settings, sink).unwrap();
         let seed_addr = *seed.addr();
         assert!(wait_for(
             || seed.status() == NodeStatus::Active,
             Duration::from_secs(10)
         ));
         assert_eq!(seed.quota_dropped(), 0);
-        let peer = AppPeer::start(Endpoint::new("127.0.0.1", 0)).unwrap();
+        let (peer, _) = app_peer();
         for i in 0..20 {
             peer.send_app(seed_addr, format!("flood-{i}").into_bytes());
         }
@@ -1197,12 +1210,43 @@ mod tests {
         );
         // Within one interval, at most the budget got through.
         let mut delivered = 0;
-        while let Ok(ev) = seed.events().try_recv() {
+        while let Ok(ev) = seed_events.try_recv() {
             if matches!(ev, AppEvent::App(..)) {
                 delivered += 1;
             }
         }
         assert!(delivered <= 2, "budget of 2 frames, {delivered} delivered");
+        peer.shutdown_now();
+        seed.shutdown_now();
+    }
+
+    #[test]
+    fn app_send_does_not_wait_for_the_next_tick() {
+        // A lone seed ticking every 10 s: nothing else wakes its driver,
+        // so an app payload queued behind the driver would sit there
+        // until the next tick. Sends go straight to the writer queue.
+        let settings = Settings {
+            tick_interval_ms: 10_000,
+            ..fast_settings()
+        };
+        let (sink, seed_events) = events();
+        let seed = Runtime::start_seed(Endpoint::new("127.0.0.1", 0), settings, sink).unwrap();
+        // A seed reports its one-member view first, as a join.
+        match seed_events.recv_timeout(Duration::from_secs(5)) {
+            Ok(AppEvent::Joined(config)) => assert_eq!(config.len(), 1),
+            other => panic!("expected the seed's initial view, got {other:?}"),
+        }
+        let (peer, peer_events) = app_peer();
+        // Let the driver's first (immediate) tick pass.
+        std::thread::sleep(Duration::from_millis(100));
+        let t0 = Instant::now();
+        seed.send_app(*peer.addr(), b"now".to_vec());
+        let got = peer_events.recv_timeout(Duration::from_secs(1));
+        assert!(
+            matches!(&got, Ok((from, payload)) if from == seed.addr() && payload == b"now"),
+            "payload must arrive within 1 s, got {got:?} after {:?}",
+            t0.elapsed()
+        );
         peer.shutdown_now();
         seed.shutdown_now();
     }

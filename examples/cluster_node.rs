@@ -59,17 +59,21 @@ fn main() -> std::io::Result<()> {
         tick_interval_ms: 50,
         ..Settings::default()
     };
+    // The runtime hands every event to a sink; a channel collects them.
+    let (tx, events) = std::sync::mpsc::sync_channel(1024);
+    let sink = move |ev| drop(tx.try_send(ev));
     let node = if seeds.is_empty() {
         println!("starting SEED node on {listen}");
-        Runtime::start_seed(listen, settings)?
+        Runtime::start_seed(listen, settings, sink)?
     } else {
         println!("joining via {seeds:?} from {listen}");
-        Runtime::start_joiner(listen, seeds, settings, Metadata::with_entry("role", &role))?
+        let role = Metadata::with_entry("role", &role);
+        Runtime::start_joiner(listen, seeds, settings, role, sink)?
     };
     println!("node id: {}", node.member().id);
 
     loop {
-        match node.events().recv_timeout(Duration::from_secs(5)) {
+        match events.recv_timeout(Duration::from_secs(5)) {
             Ok(AppEvent::Joined(cfg)) => {
                 println!("JOINED configuration {} ({} members)", cfg.id(), cfg.len());
             }

@@ -24,7 +24,11 @@ fn main() -> std::io::Result<()> {
     };
 
     println!("starting seed...");
-    let seed = Runtime::start_seed(Endpoint::new("127.0.0.1", 0), settings.clone())?;
+    // The runtime hands every event to a sink; a channel collects them.
+    let (tx, events) = std::sync::mpsc::sync_channel(1024);
+    let seed = Runtime::start_seed(Endpoint::new("127.0.0.1", 0), settings.clone(), move |ev| {
+        drop(tx.try_send(ev))
+    })?;
     println!("  seed listening on {}", seed.addr());
 
     let mut nodes = Vec::new();
@@ -34,6 +38,7 @@ fn main() -> std::io::Result<()> {
             vec![*seed.addr()],
             settings.clone(),
             Metadata::with_entry("role", if i % 2 == 0 { "frontend" } else { "backend" }),
+            |_| {},
         )?;
         println!("  started joiner {} on {}", i + 1, node.addr());
         nodes.push(node);
@@ -66,7 +71,7 @@ fn main() -> std::io::Result<()> {
     );
 
     // Show the view-change events the application would consume.
-    while let Ok(ev) = seed.events().try_recv() {
+    while let Ok(ev) = events.try_recv() {
         match ev {
             AppEvent::View(vc) => println!(
                 "  view change: +{} -{} -> {} members",
